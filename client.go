@@ -30,6 +30,10 @@ const CorrelationHeader = "X-Lean-Correlation"
 // events and status bodies.
 const TenantHeader = "X-Lean-Tenant"
 
+// journalSeqHeader is the firehose response header announcing the
+// journal position a /v1/events stream starts after.
+const journalSeqHeader = "X-Lean-Journal-Seq"
+
 // This file is the typed Go client for the leanserve HTTP service
 // (internal/server, cmd/leanserve). The JSON shapes here mirror the
 // server's wire contract; the server's end-to-end tests drive the real
@@ -537,7 +541,7 @@ func jobError(st *JobStatus) error {
 // event payload; each returning true ends the stream as successfully
 // terminal. Both StreamJob and StreamCampaign are this loop with a
 // different payload type.
-func (c *Client) streamEvents(ctx context.Context, path string, each func(event string, data []byte) (bool, error)) error {
+func (c *Client) streamEvents(ctx context.Context, path string, opened func(http.Header), each func(event string, data []byte) (bool, error)) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
@@ -550,6 +554,9 @@ func (c *Client) streamEvents(ctx context.Context, path string, each func(event 
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return responseError(resp)
+	}
+	if opened != nil {
+		opened(resp.Header)
 	}
 
 	var event string
@@ -592,7 +599,7 @@ func (c *Client) streamEvents(ctx context.Context, path string, each func(event 
 // status together with a non-nil error, exactly like WaitJob.
 func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (*JobStatus, error) {
 	var final *JobStatus
-	err := c.streamEvents(ctx, "/v1/jobs/"+id+"/stream", func(event string, data []byte) (bool, error) {
+	err := c.streamEvents(ctx, "/v1/jobs/"+id+"/stream", nil, func(event string, data []byte) (bool, error) {
 		var st JobStatus
 		if err := json.Unmarshal(data, &st); err != nil {
 			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
@@ -691,7 +698,7 @@ func campaignError(st *CampaignStatus) error {
 // returns the final status carried by the terminal "done" event.
 func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(CampaignStatus)) (*CampaignStatus, error) {
 	var final *CampaignStatus
-	err := c.streamEvents(ctx, "/v1/campaigns/"+id+"/stream", func(event string, data []byte) (bool, error) {
+	err := c.streamEvents(ctx, "/v1/campaigns/"+id+"/stream", nil, func(event string, data []byte) (bool, error) {
 		var st CampaignStatus
 		if err := json.Unmarshal(data, &st); err != nil {
 			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
@@ -795,8 +802,10 @@ func (c *Client) QueryEvents(ctx context.Context, q EventQuery) (*EventPage, err
 //
 // The stream survives disconnects: on a transport failure the client
 // reconnects with capped exponential backoff (250ms doubling to 5s),
-// resuming from the last seen sequence number via ?since= so nothing
-// the service still retains is missed, and deduplicating any overlap.
+// resuming via ?since= from the last seen sequence number — or, if the
+// stream dropped before its first event, from the position the service
+// announced when it opened — so nothing the service still retains is
+// missed, and deduplicating any overlap.
 // What retention has discarded in the meantime surfaces as a Seq gap,
 // exactly like a slow reader's ring wrap — the server never buffers for
 // a disconnected consumer. An HTTP-level rejection (*APIError) is
@@ -804,14 +813,26 @@ func (c *Client) QueryEvents(ctx context.Context, q EventQuery) (*EventPage, err
 // saying no, so retrying cannot help.
 func (c *Client) StreamEvents(ctx context.Context, fn func(Event)) error {
 	var last uint64
-	seen := false // resume only after the first event: before that, "from now" is the contract
+	// seen gates resumption: a stream resumes from the last event it
+	// delivered, or, before its first event, from the position the
+	// service announced when the stream opened. Only a service that
+	// announces nothing leaves a first stream to reconnect "from now".
+	seen := false
+	opened := func(h http.Header) {
+		if seen {
+			return
+		}
+		if pos, err := strconv.ParseUint(h.Get(journalSeqHeader), 10, 64); err == nil {
+			last, seen = pos, true
+		}
+	}
 	backoff := 250 * time.Millisecond
 	for {
 		path := "/v1/events"
 		if seen {
 			path += "?since=" + strconv.FormatUint(last, 10)
 		}
-		err := c.streamEvents(ctx, path, func(event string, data []byte) (bool, error) {
+		err := c.streamEvents(ctx, path, opened, func(event string, data []byte) (bool, error) {
 			var e Event
 			if err := json.Unmarshal(data, &e); err != nil {
 				return false, err

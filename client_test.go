@@ -80,6 +80,48 @@ func TestStreamEventsReconnects(t *testing.T) {
 	}
 }
 
+// TestStreamEventsResumesFirstStream: a firehose stream that drops
+// before delivering any event still resumes from where it started — the
+// position the service announced in X-Lean-Journal-Seq — instead of
+// reconnecting "from now" and silently skipping whatever was journaled
+// in between.
+func TestStreamEventsResumesFirstStream(t *testing.T) {
+	var conns atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		switch conns.Add(1) {
+		case 1:
+			w.Header().Set("X-Lean-Journal-Seq", "7")
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			// Dropped before any event.
+		default:
+			if got := r.URL.Query().Get("since"); got != "7" {
+				t.Errorf("reconnect since = %q, want 7 (the first stream's announced start)", got)
+			}
+			w.Header().Set("X-Lean-Journal-Seq", "9")
+			fmt.Fprint(w, "event: journal\ndata: {\"seq\":8,\"ts\":1,\"kind\":\"job.admit\",\"labels\":{}}\n\n")
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+		}
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var got []uint64
+	err := leanconsensus.NewClient(ts.URL).StreamEvents(ctx, func(e leanconsensus.Event) {
+		got = append(got, e.Seq)
+		cancel()
+	})
+	if err != context.Canceled {
+		t.Fatalf("StreamEvents = %v, want context.Canceled", err)
+	}
+	if len(got) != 1 || got[0] != 8 {
+		t.Fatalf("events = %v, want [8] (the catch-up replay)", got)
+	}
+}
+
 // TestStreamEventsStopsOnAPIError: an HTTP-level rejection is terminal,
 // not a retry loop against a server that is saying no.
 func TestStreamEventsStopsOnAPIError(t *testing.T) {

@@ -144,6 +144,12 @@ type request struct {
 	// repetitions, delivered on cellDone instead of done.
 	cell     *CellRequest
 	cellDone chan CellResult
+
+	// batch, when non-nil, makes this a derived-batch request (the
+	// RunProposals path): one queue entry carrying a run of derived
+	// proposals for this shard, handed back on batchDone once served.
+	batch     *proposalBatch
+	batchDone chan *proposalBatch
 }
 
 // ShardStats accumulates one shard's deterministic counters. All fields
@@ -583,72 +589,100 @@ func (a *Arena) worker(s *shard, idx int) {
 		tk = a.keepers[idx]
 	}
 	for req := range s.reqs {
-		if req.cell != nil {
-			req.cellDone <- a.serveCell(s, sess, req, wm)
-			continue
+		switch {
+		case req.cell != nil:
+			res := a.serveCell(s, sess, req, wm)
+			wm.dequeued()
+			req.cellDone <- res
+		case req.batch != nil:
+			a.serveBatch(s, sess, req, wm, tk)
+			wm.dequeued()
+			req.batchDone <- req.batch
+		default:
+			res := a.serveOne(s, sess, req, tk)
+			s.mu.Lock()
+			s.stats.add(res)
+			s.mu.Unlock()
+			a.served(res, wm)
+			wm.dequeued()
+			req.done <- res
 		}
-		if rec := sess.Trace(); rec != nil {
-			rec.Reset()
-		}
-		res := a.serve(s, sess, req, tk)
-		s.mu.Lock()
-		s.stats.add(res)
-		s.mu.Unlock()
-		if wm != nil {
-			wm.record(res)
-		}
-		if a.cfg.OnServe != nil {
-			a.cfg.OnServe(res)
-		}
-		req.done <- res
 	}
 }
 
-// serve runs one instance. On the derived path the instance seed mixes
-// the shard's deterministic sub-seed with the key's stable hash; on the
-// explicit path the request carries its own spec verbatim. Either way the
-// outcome does not depend on which worker runs it or in what order.
-func (a *Arena) serve(s *shard, sess *engine.Session, req *request, tk *traceKeeper) Result {
-	model := a.cfg.Model
-	var spec engine.Spec
-	if req.explicit {
-		if req.model != nil {
-			model = req.model
-		}
-		spec = req.spec
-		spec.Shard = s.id
-		if spec.Inputs == nil {
-			// The Figure 1 assignment (harness.HalfInputs): first half 0,
-			// rest 1, built in the pooled buffer.
-			inputs := sess.Inputs(spec.N)
-			for i := range inputs {
-				if i < spec.N/2 {
-					inputs[i] = 0
-				} else {
-					inputs[i] = 1
-				}
-			}
-			spec.Inputs = inputs
-		}
-	} else {
-		seed := xrand.Mix(s.seed, hash64(req.key))
-		inputs := sess.Inputs(a.cfg.N)
-		inputs[0] = req.bit
-		rng := sess.RNG(seed, 0x696e70757473) // "inputs"
-		for i := 1; i < a.cfg.N; i++ {
-			inputs[i] = rng.Intn(2)
-		}
-		spec = engine.Spec{
-			Key:       req.key,
-			Shard:     s.id,
-			N:         a.cfg.N,
-			Inputs:    inputs,
-			Noise:     a.cfg.Noise,
-			Adversary: a.cfg.Adversary,
-			Seed:      seed,
-		}
+// served is the per-instance bookkeeping every Submit-path instance gets,
+// whether it arrived alone or in a derived batch: its metrics stripe
+// observation and the Config.OnServe callback.
+func (a *Arena) served(res Result, wm *workerMetrics) {
+	if wm != nil {
+		wm.record(res)
 	}
-	res := Result{Key: req.key, Shard: s.id}
+	if a.cfg.OnServe != nil {
+		a.cfg.OnServe(res)
+	}
+}
+
+// serveOne runs one single-instance request (Submit or SubmitSpec). On
+// the derived path the instance seed mixes the shard's deterministic
+// sub-seed with the key's stable hash; on the explicit path the request
+// carries its own spec verbatim. Either way the outcome does not depend
+// on which worker runs it or in what order.
+func (a *Arena) serveOne(s *shard, sess *engine.Session, req *request, tk *traceKeeper) Result {
+	if rec := sess.Trace(); rec != nil {
+		rec.Reset()
+	}
+	if !req.explicit {
+		return a.run(s, sess, a.cfg.Model, a.derivedSpec(s, sess, req.key, req.bit), req.enq, tk)
+	}
+	model := a.cfg.Model
+	if req.model != nil {
+		model = req.model
+	}
+	spec := req.spec
+	spec.Shard = s.id
+	if spec.Inputs == nil {
+		// The Figure 1 assignment (harness.HalfInputs): first half 0,
+		// rest 1, built in the pooled buffer.
+		inputs := sess.Inputs(spec.N)
+		for i := range inputs {
+			if i < spec.N/2 {
+				inputs[i] = 0
+			} else {
+				inputs[i] = 1
+			}
+		}
+		spec.Inputs = inputs
+	}
+	return a.run(s, sess, model, spec, req.enq, tk)
+}
+
+// derivedSpec builds a derived instance's spec: its seed mixes the shard's
+// sub-seed with the key's hash, process 0 proposes bit, and the other
+// inputs come from the seed's "inputs" stream, in the session's pooled
+// buffer.
+func (a *Arena) derivedSpec(s *shard, sess *engine.Session, key string, bit int) engine.Spec {
+	seed := xrand.Mix(s.seed, hash64(key))
+	inputs := sess.Inputs(a.cfg.N)
+	inputs[0] = bit
+	rng := sess.RNG(seed, 0x696e70757473) // "inputs"
+	for i := 1; i < a.cfg.N; i++ {
+		inputs[i] = rng.Intn(2)
+	}
+	return engine.Spec{
+		Key:       key,
+		Shard:     s.id,
+		N:         a.cfg.N,
+		Inputs:    inputs,
+		Noise:     a.cfg.Noise,
+		Adversary: a.cfg.Adversary,
+		Seed:      seed,
+	}
+}
+
+// run executes one instance on the worker's session and, when tracing is
+// armed, offers it to the worker's trace keeper. Latency runs from enq.
+func (a *Arena) run(s *shard, sess *engine.Session, model engine.Model, spec engine.Spec, enq time.Time, tk *traceKeeper) Result {
+	res := Result{Key: spec.Key, Shard: s.id}
 	ir, err := model.Run(spec, sess)
 	if err != nil {
 		res.Err = err
@@ -662,6 +696,6 @@ func (a *Arena) serve(s *shard, sess *engine.Session, req *request, tk *traceKee
 	if rec := sess.Trace(); rec != nil {
 		tk.consider(model.Name(), spec, res, rec)
 	}
-	res.Latency = time.Since(req.enq)
+	res.Latency = time.Since(enq)
 	return res
 }

@@ -86,9 +86,17 @@ func (m *Metrics) stripes(idx int) *workerMetrics {
 	}
 }
 
-// record folds one served result into the worker's stripes.
+// dequeued returns one served request's queued-gauge unit — enqueue
+// charged one per request, whatever it carries. It is a no-op on a nil
+// (telemetry-off) stripe view.
+func (w *workerMetrics) dequeued() {
+	if w != nil {
+		w.queued.Add(-1)
+	}
+}
+
+// record folds one served instance into the worker's stripes.
 func (w *workerMetrics) record(r Result) {
-	w.queued.Add(-1)
 	if r.Err != nil {
 		w.errors.Inc()
 	} else {
@@ -100,12 +108,10 @@ func (w *workerMetrics) record(r Result) {
 }
 
 // recordCell folds one served cell into the worker's stripes in bulk:
-// counters advance by whole-cell totals, the queued gauge returns the
-// cell's single slot (enqueue charged one per request, whatever its
-// Reps), and latency observes the cell once — a cell is one request, so
-// per-request latency is per-cell latency on this path.
+// counters advance by whole-cell totals and latency observes the cell
+// once — a cell is one request, so per-request latency is per-cell
+// latency on this path.
 func (w *workerMetrics) recordCell(local ShardStats, latency time.Duration) {
-	w.queued.Add(-1)
 	w.decided[0].Add(local.Decided[0])
 	w.decided[1].Add(local.Decided[1])
 	w.errors.Add(local.Errors)

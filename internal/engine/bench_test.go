@@ -42,6 +42,33 @@ func TestMsgnetPooledAllocs(t *testing.T) {
 	}
 }
 
+// TestHybridPooledAllocs guards the hybrid model's pooled runner: the
+// session keeps the scheduler state, the result, the adversary's view
+// snapshots and the default priority and quantum slices between runs,
+// so a warm run allocates almost nothing (it was 17 allocations per run
+// before the runner was pooled).
+func TestHybridPooledAllocs(t *testing.T) {
+	m, err := engine.ByName("hybrid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := engine.NewSession()
+	inputs := []int{0, 1, 0, 1, 0, 1, 0, 1}
+	spec := engine.Spec{Key: "alloc-guard", N: len(inputs), Inputs: inputs}
+	seed := uint64(0)
+	run := func() {
+		seed++
+		spec.Seed = seed
+		if _, err := m.Run(spec, sess); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the buffers
+	if avg := testing.AllocsPerRun(100, run); avg > 2 {
+		t.Fatalf("pooled hybrid run allocates %.1f times, want <= 2 (runner pooling regressed?)", avg)
+	}
+}
+
 // BenchmarkEngineSession quantifies the Session's allocation win: the
 // pooled sub-benchmarks reuse one worker session across iterations (the
 // arena's steady state), the fresh ones pay the per-run setup cost.

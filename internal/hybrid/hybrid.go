@@ -175,8 +175,31 @@ func (Laggard) Choose(v *View) int {
 var errBadConfig = errors.New("hybrid: invalid config")
 
 // Run executes the machines under the hybrid scheduling constraints until
-// every process has decided.
-func Run(cfg Config) (*Result, error) {
+// every process has decided. The Result is the caller's to keep.
+func Run(cfg Config) (*Result, error) { return new(Runner).Run(cfg) }
+
+// Runner executes hybrid-scheduled runs on buffers it keeps between runs:
+// the scheduler State, the Result, the adversary's view snapshots and the
+// default priorities and initial quanta. A pooled Runner makes steady-state
+// runs allocation-free; its outcomes are identical to Run's. A Runner is
+// not safe for concurrent use.
+type Runner struct {
+	st  State
+	res Result
+
+	zeros        []int // default priorities and initial quanta: all zero
+	eligibleBuf  []int
+	viewEligible []int
+	viewOps      []int64
+	viewDecided  []bool
+	viewPri      []int
+	view         View
+}
+
+// Run is the package-level Run on the runner's pooled buffers. The
+// returned Result, and every slice in it, belongs to the runner and is
+// valid only until its next Run.
+func (rn *Runner) Run(cfg Config) (*Result, error) {
 	n := cfg.N
 	if n <= 0 || len(cfg.Machines) != n {
 		return nil, fmt.Errorf("%w: need N machines", errBadConfig)
@@ -187,16 +210,17 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Mem == nil {
 		return nil, fmt.Errorf("%w: Mem is required", errBadConfig)
 	}
+	rn.zeros = resize(rn.zeros, n)
 	pri := cfg.Priorities
 	if pri == nil {
-		pri = make([]int, n)
+		pri = rn.zeros
 	}
 	if len(pri) != n {
 		return nil, fmt.Errorf("%w: need N priorities", errBadConfig)
 	}
 	used := cfg.InitialUsed
 	if used == nil {
-		used = make([]int, n)
+		used = rn.zeros
 	}
 	if len(used) != n {
 		return nil, fmt.Errorf("%w: need N initial-quantum values", errBadConfig)
@@ -224,10 +248,12 @@ func Run(cfg Config) (*Result, error) {
 		maxSteps = int64(n) * 1 << 16
 	}
 
-	st := newState(cfg.Machines, cfg.Mem, pri, cfg.Quantum, used, false)
-	res := &Result{
-		Decisions: make([]int, n),
-		OpCounts:  make([]int64, n),
+	st := &rn.st
+	st.reset(cfg.Machines, cfg.Mem, pri, cfg.Quantum, used, false)
+	res := &rn.res
+	*res = Result{
+		Decisions: resize(res.Decisions, n),
+		OpCounts:  resize(res.OpCounts, n),
 	}
 	if cfg.Trace != nil {
 		for i := 0; i < n; i++ {
@@ -237,41 +263,52 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The view buffers are reused across steps: View slices are per-step
-	// snapshots that protect engine state from adversary mutation (the
-	// eligibility check below reads the engine-owned eligible slice, never
-	// the copy handed to the adversary), and no adversary may retain them
-	// past Choose, so one allocation per run suffices.
-	var (
-		eligibleBuf  = make([]int, 0, n)
-		viewEligible = make([]int, 0, n)
-		viewOps      = make([]int64, n)
-		viewDecided  = make([]bool, n)
-		viewPri      = make([]int, n)
-		view         View
-	)
+	// The view buffers are reused across steps and runs: View slices are
+	// per-step snapshots that protect engine state from adversary mutation
+	// (the eligibility check below reads the engine-owned eligible slice,
+	// never the copy handed to the adversary), and no adversary may retain
+	// them past Choose.
+	eligibleBuf := resize(rn.eligibleBuf, n)[:0]
+	viewEligible := resize(rn.viewEligible, n)[:0]
+	viewOps := resize(rn.viewOps, n)
+	viewDecided := resize(rn.viewDecided, n)
+	viewPri := resize(rn.viewPri, n)
+	rn.eligibleBuf, rn.viewEligible = eligibleBuf, viewEligible
+	rn.viewOps, rn.viewDecided, rn.viewPri = viewOps, viewDecided, viewPri
+	view := &rn.view
+	// With uniform priorities, a live current process that still has
+	// quantum left is the only eligible process — no one can preempt it —
+	// so those steps skip the eligibility scan and the adversary, exactly
+	// as a one-element eligible set would.
+	uniform := true
+	for _, p := range pri {
+		uniform = uniform && p == pri[0]
+	}
 	for st.live > 0 {
 		if res.Steps >= maxSteps {
 			return nil, fmt.Errorf("hybrid: no termination within %d steps", maxSteps)
 		}
-		eligible := st.EligibleInto(eligibleBuf)
-		choice := eligible[0]
-		if len(eligible) > 1 {
-			copy(viewOps, st.ops)
-			copy(viewDecided, st.decided)
-			copy(viewPri, pri)
-			viewEligible = append(viewEligible[:0], eligible...)
-			view = View{
-				Current:     st.current,
-				QuantumLeft: st.quantumLeft(),
-				OpCounts:    viewOps,
-				Decided:     viewDecided,
-				Priorities:  viewPri,
-				Eligible:    viewEligible,
-			}
-			choice = adv.Choose(&view)
-			if !contains(eligible, choice) {
-				return nil, fmt.Errorf("hybrid: adversary chose ineligible process %d", choice)
+		choice := st.current
+		if !uniform || choice < 0 || st.decided[choice] || st.remaining[choice] <= 0 {
+			eligible := st.EligibleInto(eligibleBuf)
+			choice = eligible[0]
+			if len(eligible) > 1 {
+				copy(viewOps, st.ops)
+				copy(viewDecided, st.decided)
+				copy(viewPri, pri)
+				viewEligible = append(viewEligible[:0], eligible...)
+				*view = View{
+					Current:     st.current,
+					QuantumLeft: st.quantumLeft(),
+					OpCounts:    viewOps,
+					Decided:     viewDecided,
+					Priorities:  viewPri,
+					Eligible:    viewEligible,
+				}
+				choice = adv.Choose(view)
+				if !contains(eligible, choice) {
+					return nil, fmt.Errorf("hybrid: adversary chose ineligible process %d", choice)
+				}
 			}
 		}
 		preempted := st.current >= 0 && st.current != choice && !st.decided[st.current]

@@ -47,18 +47,26 @@ type State struct {
 // In liberal mode (model checker only) the old inconsistent semantics are
 // kept: every process carries its partial quantum to its first scheduling.
 func newState(machines []machine.Machine, mem register.Mem, pri []int, quantum int, used []int, liberal bool) *State {
+	st := &State{}
+	st.reset(machines, mem, pri, quantum, used, liberal)
+	return st
+}
+
+// reset re-arms st as newState would build it, reusing its per-process
+// slices when they are large enough.
+func (st *State) reset(machines []machine.Machine, mem register.Mem, pri []int, quantum int, used []int, liberal bool) {
 	n := len(machines)
-	st := &State{
+	*st = State{
 		machines:  machines,
 		mem:       mem,
 		pri:       pri,
 		quantum:   quantum,
 		current:   -1,
-		remaining: make([]int, n),
-		started:   make([]bool, n),
-		decided:   make([]bool, n),
-		pending:   make([]machine.Op, n),
-		ops:       make([]int64, n),
+		remaining: resize(st.remaining, n),
+		started:   resize(st.started, n),
+		decided:   resize(st.decided, n),
+		pending:   resize(st.pending, n),
+		ops:       resize(st.ops, n),
 		live:      n,
 		liberal:   liberal,
 	}
@@ -68,7 +76,17 @@ func newState(machines []machine.Machine, mem register.Mem, pri []int, quantum i
 			st.current = i
 		}
 	}
-	return st
+}
+
+// resize returns s with length n and every element zeroed, reusing its
+// backing array when the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NewState is the exported constructor used by the model checker, with the

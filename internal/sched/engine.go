@@ -190,29 +190,47 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i, n := 0, last
+// pop removes the minimum event; callers read it as h[0] first.
+func (h *eventHeap) pop() {
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	h.siftDown()
+}
+
+// replaceTop overwrites the minimum event with ev and restores the heap
+// order: one sift-down instead of a pop followed by a push. Because
+// (t, proc) keys are unique, the sequence of minima is exactly the one
+// pop-then-push would produce.
+func (h eventHeap) replaceTop(ev event) {
+	h[0] = ev
+	h.siftDown()
+}
+
+// siftDown moves the root down to its place, shifting each smaller child
+// up into the hole instead of swapping pairwise.
+func (h eventHeap) siftDown() {
+	n := len(h)
+	if n == 0 {
+		return
+	}
+	ev := h[0]
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less((*h)[l], (*h)[small]) {
-			small = l
-		}
-		if r < n && h.less((*h)[r], (*h)[small]) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
+		if r := c + 1; r < n && h.less(h[r], h[c]) {
+			c = r
+		}
+		if !h.less(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h[i] = ev
 }
 
 // procState is the engine's per-process bookkeeping. The src/rng pair
@@ -353,21 +371,22 @@ func (e *Engine) noise(p *procState, kind register.OpKind) float64 {
 	return e.cfg.ReadNoise.Sample(p.rng)
 }
 
-// schedule computes S_{i,j+1} for process i's next operation and pushes it
-// on the event heap, or halts the process if the failure coin strikes.
-func (e *Engine) schedule(i int) {
+// schedule computes S_{i,j+1} for process i's next operation into p.time,
+// or halts the process if the failure coin strikes. It reports whether an
+// operation was scheduled; the caller places it on the event heap.
+func (e *Engine) schedule(i int) bool {
 	p := &e.procs[i]
 	p.j++
 	if e.cfg.FailureProb > 0 && p.rng.Float64() < e.cfg.FailureProb {
 		// H_ij = ∞: the process halts before this operation.
 		p.halted = true
 		e.traceHalt(p, i)
-		return
+		return false
 	}
 	if e.cfg.Crasher != nil && e.cfg.Crasher(i, p.j, (*engineView)(e)) {
 		p.halted = true
 		e.traceHalt(p, i)
-		return
+		return false
 	}
 	d := e.adv.StepDelay(i, p.j, (*engineView)(e))
 	if !validDelay(d, e.adv.Bound()) {
@@ -380,7 +399,7 @@ func (e *Engine) schedule(i int) {
 		p.lastDelay = d
 	}
 	p.time += d + e.noise(p, p.next.Kind)
-	e.heap.push(event{t: p.time, proc: int32(i)})
+	return true
 }
 
 // traceHalt records a process death at its last completed-operation time.
@@ -457,7 +476,9 @@ func (e *Engine) RunInto(res *Result) error {
 				Time: p.time, Delay: delta0, Proc: int32(i), Kind: trace.KindStart,
 			})
 		}
-		e.schedule(i)
+		if e.schedule(i) {
+			e.heap.push(event{t: p.time, proc: int32(i)})
+		}
 	}
 
 	res.reset(n)
@@ -469,8 +490,11 @@ func (e *Engine) RunInto(res *Result) error {
 		}
 	}
 
+	// The minimum event stays at the heap root while its operation runs:
+	// a process that goes on is rescheduled by replacing the root in
+	// place, and only one that leaves the race is popped.
 	for live > 0 && len(e.heap) > 0 {
-		ev := e.heap.pop()
+		ev := e.heap[0]
 		i := int(ev.proc)
 		p := &e.procs[i]
 		op := p.next
@@ -535,11 +559,13 @@ func (e *Engine) RunInto(res *Result) error {
 					Round: int32(p.decRnd), Value: int32(p.dec), Kind: trace.KindDecide,
 				})
 			}
+			e.heap.pop()
 			live--
 		case machine.Failed:
 			res.Failed = true
 			p.halted = true
 			e.traceHalt(p, i)
+			e.heap.pop()
 			live--
 		case machine.Running:
 			p.next = next
@@ -548,10 +574,15 @@ func (e *Engine) RunInto(res *Result) error {
 				live = 0
 				break
 			}
-			e.schedule(i)
-			if p.halted {
+			if e.schedule(i) {
+				e.heap.replaceTop(event{t: p.time, proc: int32(i)})
+			} else {
+				e.heap.pop()
 				live--
 			}
+		default:
+			// Any other status leaves the schedule without a decision.
+			e.heap.pop()
 		}
 	}
 

@@ -228,16 +228,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "server: response writer cannot stream")
 		return
 	}
+	// Subscribe and fix the stream position before the 200 goes out: a
+	// client that acts on the response headers (submits work, say) must
+	// see every event that work emits, so "from now on" has to mean from
+	// before the headers, never from some later point.
+	sub := s.journal.Subscribe()
+	defer sub.Unsubscribe()
+	pos := s.journal.Seq()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
+	// The position, so a client whose stream drops before its first
+	// event can still resume with ?since= instead of losing the gap.
+	h.Set(JournalSeqHeader, strconv.FormatUint(pos, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-
-	sub := s.journal.Subscribe()
-	defer sub.Unsubscribe()
-	pos := s.journal.Seq() // firehose semantics: from now on
+	if s.afterEventsFlush != nil {
+		s.afterEventsFlush()
+	}
 
 	// Catch-up: an explicit ?since= on the SSE path replays the gap
 	// (store + ring) before going live, so a reconnecting client misses

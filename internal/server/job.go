@@ -157,8 +157,9 @@ func (j *job) snapshot() JobStatus {
 }
 
 // runJob executes every spec of one admitted job, in order, on its own
-// arenas. It owns the job's queued-instance reservation: each finished
-// instance returns its unit to the admission gate.
+// arenas. It owns the job's queued-instance reservation: finished
+// instances return their units to the admission gate as each derived
+// batch completes.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	select {
@@ -232,10 +233,23 @@ func (s *Server) saveJobTerminal(j *job, status string) {
 	})
 }
 
-// runSpec serves one spec on a fresh arena and folds the results into
+// runSpec serves one spec on its own arena and folds the results into
 // its SpecResult. The workload derivation — keys "key-%08d", proposal
-// bits from the seed's "load" stream — matches cmd/leanarena exactly, so
-// a job replays byte-identically against the CLI's deterministic report.
+// bits from the seed's "load" stream, drawn in index order — matches
+// cmd/leanarena exactly, so a job replays byte-identically against the
+// CLI's deterministic report.
+//
+// The proposals run as derived batches (arena.RunProposals): each
+// shard's proposals are collected, in index order, into batches that one
+// worker serves in one loop, so the queue hop, request, hand-back and
+// fold are paid per batch, not per instance. That keeps leanarena's
+// byte-identity: every proposal is served on the shard its key routes
+// to, through the same derived-spec body as Submit, so outcomes,
+// PerShard, arena Stats, the drain count and trace captures are the
+// per-instance path's; and per-instance observation (the latency
+// histogram, OnServe's live progress, the flight recorder) still
+// happens once per instance. A bounded window of outstanding batches
+// keeps memory independent of Instances.
 func (s *Server) runSpec(j *job, sr *specRun) error {
 	jb := sr.job
 	am := arena.NewMetrics(s.reg, "model", jb.ModelName, "dist", jb.DistName, "adversary", jb.AdvName)
@@ -276,69 +290,31 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 		Seed:      jb.Seed,
 		Instances: jb.Instances,
 	}
-	fold := func(r arena.Result) {
-		if r.Err != nil {
-			res.Errors++
-		} else {
-			if r.Value == 0 {
-				res.Decided0++
-			} else {
-				res.Decided1++
-			}
-			res.Ops += r.Ops
-			res.RoundSum += int64(r.FirstRound)
-			if r.LastRound > res.MaxRound {
-				res.MaxRound = r.LastRound
-			}
-		}
-		s.complete(j.tb, 1)
-	}
-
-	// The submission window bounds memory: at most the arena's queue
-	// capacity plus its in-service slots stay outstanding, so a
-	// million-instance spec streams through a fixed-size ring instead of
-	// holding a buffered channel per instance. The window never deadlocks:
-	// result channels are buffered, so workers always make progress while
-	// the runner waits on the ring's oldest entry.
-	window := a.QueueCap() + s.cfg.Shards*s.cfg.Workers
-	if window > jb.Instances {
-		window = jb.Instances
-	}
-	if window < 1 {
-		window = 1
-	}
-	chans := make([]<-chan arena.Result, window)
-
+	var served int64
 	start := time.Now()
 	bits := xrand.New(jb.Seed, 0x6c6f6164) // "load", the leanarena stream
-	for i := 0; i < jb.Instances; i++ {
-		if i >= window {
-			fold(<-chans[i%window])
-		}
-		done, err := a.Submit(fmt.Sprintf("key-%08d", i), bits.Intn(2))
-		if err != nil {
-			// Unreachable while the server owns the arena: return the
-			// never-submitted remainder's reservation, drain what is in
-			// flight, and surface the fault. Once the ring has wrapped,
-			// slot i%window was already folded above, so only the window-1
-			// slots after it are outstanding.
-			s.release(j.tb, int64(jb.Instances-i))
-			lo := 0
-			if i >= window {
-				lo = i - window + 1
+	err = a.RunProposals(jb.Instances,
+		func(i int) (string, int) { return fmt.Sprintf("key-%08d", i), bits.Intn(2) },
+		func(st arena.ShardStats) {
+			res.Errors += st.Errors
+			res.Decided0 += st.Decided[0]
+			res.Decided1 += st.Decided[1]
+			res.Ops += st.Ops
+			res.RoundSum += st.RoundSum
+			if st.MaxRound > res.MaxRound {
+				res.MaxRound = st.MaxRound
 			}
-			for k := lo; k < i; k++ {
-				fold(<-chans[k%window])
-			}
-			a.Close()
-			return fmt.Errorf("server: submit failed mid-job: %v", err)
-		}
-		chans[i%window] = done
-	}
-	for k := jb.Instances - window; k < jb.Instances; k++ {
-		fold(<-chans[k%window])
-	}
+			served += st.Proposals
+			s.complete(j.tb, st.Proposals)
+		})
 	elapsed := time.Since(start)
+	if err != nil {
+		// Unreachable while the server owns the arena: return the
+		// never-served remainder's reservation and surface the fault.
+		a.Close()
+		s.release(j.tb, int64(jb.Instances)-served)
+		return fmt.Errorf("server: submit failed mid-job: %v", err)
+	}
 	if err := a.Close(); err != nil {
 		return err
 	}

@@ -13,14 +13,15 @@
 // reports liveness, and /metrics exposes the internal/metrics registry
 // in Prometheus text format.
 //
-// Backpressure is explicit and two-layered. Inside a job, arena shard
-// queues bound in-flight requests and Submit blocks (the arena's own
-// backpressure). Across jobs, the server tracks admitted-but-unfinished
-// instances and sheds load once that queue depth crosses the configured
-// high-water mark: the POST is rejected with 429 and a Retry-After
-// estimate instead of being buffered without bound. Shutdown is a
-// drain, not a drop: Close stops admissions and waits for every running
-// job, which in turn waits on each arena's graceful Close.
+// Backpressure is explicit and two-layered. Inside a job, a bounded
+// window of derived batches is in flight and arena shard queues block
+// the runner (the arena's own backpressure). Across jobs, the server
+// tracks admitted-but-unfinished instances and sheds load once that
+// queue depth crosses the configured high-water mark: the POST is
+// rejected with 429 and a Retry-After estimate instead of being buffered
+// without bound. Shutdown is a drain, not a drop: Close stops admissions
+// and waits for every running job, which in turn waits on each arena's
+// graceful Close.
 package server
 
 import (
@@ -56,6 +57,12 @@ import (
 // job/cell event parents into it — reconstructible from the merged
 // event streams alone, exactly as single-process trees are today.
 const CorrelationHeader = "X-Lean-Correlation"
+
+// JournalSeqHeader carries, on the /v1/events SSE firehose response, the
+// journal position the stream starts after: every event with a larger
+// sequence number is delivered. A client whose stream drops before any
+// event arrived resumes from it with ?since=.
+const JournalSeqHeader = "X-Lean-Journal-Seq"
 
 // maxCorrelationLen bounds the accepted header value; anything longer
 // (or containing control characters) is a 400, not a silent trim —
@@ -180,6 +187,11 @@ type Server struct {
 	gcVal  float64
 	gcNow  func() time.Time // injectable for tests
 	gcRead func() float64
+
+	// afterEventsFlush, when set (tests only), runs in the /v1/events
+	// firehose handler right after the response headers are flushed —
+	// the seam that parks a stream where a client already holds its 200.
+	afterEventsFlush func()
 
 	mAccepted  *metrics.Counter
 	mRejected  *metrics.Counter
