@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -88,6 +89,8 @@ type JobStatus struct {
 
 // Finished reports whether the job reached a terminal state.
 func (s *JobStatus) Finished() bool { return s.Status == JobDone || s.Status == JobFailed }
+
+func (s *JobStatus) failure() error { return failure("job", s.ID, s.Status, s.Error) }
 
 // SpecStatus is one spec's progress within a job: Done of Instances
 // completed, broken down per arena shard, plus the final Result once the
@@ -348,6 +351,16 @@ type CampaignStatus struct {
 // Finished reports whether the campaign reached a terminal state.
 func (s *CampaignStatus) Finished() bool { return s.Status == JobDone || s.Status == JobFailed }
 
+func (s *CampaignStatus) failure() error { return failure("campaign", s.ID, s.Status, s.Error) }
+
+// failure maps a failed terminal status to an error.
+func failure(noun, id, status, msg string) error {
+	if status == JobFailed {
+		return fmt.Errorf("leanserve: %s %s failed: %s", noun, id, msg)
+	}
+	return nil
+}
+
 // APIError is a non-2xx response from the service.
 type APIError struct {
 	StatusCode int
@@ -378,7 +391,8 @@ type Client struct {
 	BaseURL string
 	// HTTPClient is the transport; nil selects http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval is WaitJob's cadence (default 25ms).
+	// PollInterval is the polling cadence of WaitJob and WaitCampaign
+	// (default 25ms).
 	PollInterval time.Duration
 }
 
@@ -395,21 +409,91 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one request and decodes a 2xx JSON body into out. Non-2xx
-// responses become *OverloadedError (429) or *APIError.
-func (c *Client) do(req *http.Request, out any) error {
+// do issues one request and decodes a 2xx JSON body — or one with a
+// status listed in also — into out. Other responses become
+// *OverloadedError (429) or *APIError.
+func (c *Client) do(req *http.Request, out any, also ...int) error {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	if (resp.StatusCode < 200 || resp.StatusCode > 299) && !slices.Contains(also, resp.StatusCode) {
 		return responseError(resp)
 	}
-	if out == nil {
-		return nil
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// get fetches path and decodes its JSON body (see do for also).
+func get[T any](ctx context.Context, c *Client, path string, also ...int) (*T, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	var v T
+	if err := c.do(req, &v, also...); err != nil {
+		return nil, err
+	}
+	return &v, nil
+}
+
+// polled is what the wait and stream loops need of a job or campaign
+// status.
+type polled[S any] interface {
+	*S
+	Finished() bool
+	failure() error
+}
+
+// wait polls path until the status it serves is terminal or ctx
+// expires. A failed terminal status returns together with a non-nil
+// error.
+func wait[S any, P polled[S]](ctx context.Context, c *Client, path string) (*S, error) {
+	interval := c.PollInterval
+	if interval <= 0 {
+		interval = 25 * time.Millisecond
+	}
+	for {
+		st, err := get[S](ctx, c, path)
+		if err != nil {
+			return nil, err
+		}
+		if P(st).Finished() {
+			return st, P(st).failure()
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(interval):
+		}
+	}
+}
+
+// stream subscribes to the SSE progress stream at path, calling fn (when
+// non-nil) for every progress snapshot, and returns the final status
+// carried by the terminal "done" event — with a non-nil error when it is
+// a failure. A stream that ends without "done" (the service handed the
+// unfinished work to its successor) is an error.
+func stream[S any, P polled[S]](ctx context.Context, c *Client, path string, fn func(S)) (*S, error) {
+	var final *S
+	err := c.streamEvents(ctx, path, nil, func(event string, data []byte) (bool, error) {
+		var st S
+		if err := json.Unmarshal(data, &st); err != nil {
+			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
+		}
+		if event == "done" {
+			final = &st
+			return true, nil
+		}
+		if fn != nil {
+			fn(st)
+		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return final, P(final).failure()
 }
 
 // responseError converts a non-2xx response into a typed error.
@@ -446,29 +530,38 @@ func (c *Client) SubmitJobs(ctx context.Context, specs ...JobSpec) (string, erro
 // must be within the service's budget cap (64); 0 degrades to an
 // untraced SubmitJobs.
 func (c *Client) SubmitJobsTraced(ctx context.Context, traceK int, specs ...JobSpec) (string, error) {
-	body, err := json.Marshal(struct {
+	var corr, tenant string
+	for _, spec := range specs {
+		if corr == "" {
+			corr = spec.Correlation
+		}
+		if tenant == "" {
+			tenant = spec.Tenant
+		}
+	}
+	return c.submit(ctx, "/v1/jobs", struct {
 		Jobs  []JobSpec `json:"jobs"`
 		Trace int       `json:"trace,omitempty"`
-	}{Jobs: specs, Trace: traceK})
+	}{Jobs: specs, Trace: traceK}, corr, tenant)
+}
+
+// submit POSTs one JSON submission, with the correlation and tenant
+// headers when non-empty, and returns the minted ID.
+func (c *Client) submit(ctx context.Context, path string, v any, corr, tenant string) (string, error) {
+	body, err := json.Marshal(v)
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	for _, spec := range specs {
-		if spec.Correlation != "" {
-			req.Header.Set(CorrelationHeader, spec.Correlation)
-			break
-		}
+	if corr != "" {
+		req.Header.Set(CorrelationHeader, corr)
 	}
-	for _, spec := range specs {
-		if spec.Tenant != "" {
-			req.Header.Set(TenantHeader, spec.Tenant)
-			break
-		}
+	if tenant != "" {
+		req.Header.Set(TenantHeader, tenant)
 	}
 	var out struct {
 		ID string `json:"id"`
@@ -482,59 +575,18 @@ func (c *Client) SubmitJobsTraced(ctx context.Context, traceK int, specs ...JobS
 // JobTrace fetches one job's flight-recorder captures. It answers at any
 // lifecycle stage; capture blocks appear as specs finish.
 func (c *Client) JobTrace(ctx context.Context, id string) (*JobTraces, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	var jt JobTraces
-	if err := c.do(req, &jt); err != nil {
-		return nil, err
-	}
-	return &jt, nil
+	return get[JobTraces](ctx, c, "/v1/jobs/"+id+"/trace")
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	var st JobStatus
-	if err := c.do(req, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return get[JobStatus](ctx, c, "/v1/jobs/"+id)
 }
 
 // WaitJob polls until the job finishes or ctx expires. A failed job
 // returns its final status together with a non-nil error.
 func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Finished() {
-			return st, jobError(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
-}
-
-// jobError maps a failed terminal status to an error.
-func jobError(st *JobStatus) error {
-	if st.Status == JobFailed {
-		return fmt.Errorf("leanserve: job %s failed: %s", st.ID, st.Error)
-	}
-	return nil
+	return wait[JobStatus](ctx, c, "/v1/jobs/"+id)
 }
 
 // streamEvents subscribes to an SSE endpoint and calls each for every
@@ -598,25 +650,7 @@ func (c *Client) streamEvents(ctx context.Context, path string, opened func(http
 // status carried by the terminal "done" event. A failed job returns its
 // status together with a non-nil error, exactly like WaitJob.
 func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (*JobStatus, error) {
-	var final *JobStatus
-	err := c.streamEvents(ctx, "/v1/jobs/"+id+"/stream", nil, func(event string, data []byte) (bool, error) {
-		var st JobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
-		}
-		if event == "done" {
-			final = &st
-			return true, nil
-		}
-		if fn != nil {
-			fn(st)
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return final, jobError(final)
+	return stream[JobStatus](ctx, c, "/v1/jobs/"+id+"/stream", fn)
 }
 
 // SubmitCampaign submits one campaign spec and returns the campaign ID.
@@ -624,146 +658,42 @@ func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (
 // *OverloadedError carries the service's Retry-After hint, and an
 // oversized grid comes back as a 400 *APIError before anything runs.
 func (c *Client) SubmitCampaign(ctx context.Context, spec CampaignSpec) (string, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/campaigns", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if spec.Correlation != "" {
-		req.Header.Set(CorrelationHeader, spec.Correlation)
-	}
-	if spec.Tenant != "" {
-		req.Header.Set(TenantHeader, spec.Tenant)
-	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := c.do(req, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
+	return c.submit(ctx, "/v1/campaigns", spec, spec.Correlation, spec.Tenant)
 }
 
 // Campaign fetches one campaign's status (and, once finished, report).
 func (c *Client) Campaign(ctx context.Context, id string) (*CampaignStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/campaigns/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	var st CampaignStatus
-	if err := c.do(req, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return get[CampaignStatus](ctx, c, "/v1/campaigns/"+id)
 }
 
 // WaitCampaign polls until the campaign finishes or ctx expires. A
 // failed campaign returns its final status together with a non-nil
 // error.
 func (c *Client) WaitCampaign(ctx context.Context, id string) (*CampaignStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	for {
-		st, err := c.Campaign(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Finished() {
-			return st, campaignError(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
-}
-
-// campaignError maps a failed terminal status to an error.
-func campaignError(st *CampaignStatus) error {
-	if st.Status == JobFailed {
-		return fmt.Errorf("leanserve: campaign %s failed: %s", st.ID, st.Error)
-	}
-	return nil
+	return wait[CampaignStatus](ctx, c, "/v1/campaigns/"+id)
 }
 
 // StreamCampaign subscribes to the campaign's SSE progress stream,
 // calling fn (when non-nil) for every cell-progress snapshot, and
 // returns the final status carried by the terminal "done" event.
 func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(CampaignStatus)) (*CampaignStatus, error) {
-	var final *CampaignStatus
-	err := c.streamEvents(ctx, "/v1/campaigns/"+id+"/stream", nil, func(event string, data []byte) (bool, error) {
-		var st CampaignStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
-		}
-		if event == "done" {
-			final = &st
-			return true, nil
-		}
-		if fn != nil {
-			fn(st)
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return final, campaignError(final)
+	return stream[CampaignStatus](ctx, c, "/v1/campaigns/"+id+"/stream", fn)
 }
 
 // Models fetches the service's registry catalog.
 func (c *Client) Models(ctx context.Context) (*Catalog, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	var cat Catalog
-	if err := c.do(req, &cat); err != nil {
-		return nil, err
-	}
-	return &cat, nil
+	return get[Catalog](ctx, c, "/v1/models")
 }
 
 // Adversaries fetches the service's adversary registry catalog.
 func (c *Client) Adversaries(ctx context.Context) (*AdversaryCatalog, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/adversaries", nil)
-	if err != nil {
-		return nil, err
-	}
-	var cat AdversaryCatalog
-	if err := c.do(req, &cat); err != nil {
-		return nil, err
-	}
-	return &cat, nil
+	return get[AdversaryCatalog](ctx, c, "/v1/adversaries")
 }
 
 // Health fetches the liveness report. Both "ok" (200) and "draining"
 // (503) parse without error; inspect Health.Status.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return nil, responseError(resp)
-	}
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return get[Health](ctx, c, "/healthz", http.StatusServiceUnavailable)
 }
 
 // Events replays the service's operations journal from position since
@@ -783,16 +713,7 @@ func (c *Client) Events(ctx context.Context, since uint64) (*EventPage, error) {
 // page came back full, Next is the last returned seq, else the journal
 // tip.
 func (c *Client) QueryEvents(ctx context.Context, q EventQuery) (*EventPage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/events?"+q.encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	var page EventPage
-	if err := c.do(req, &page); err != nil {
-		return nil, err
-	}
-	return &page, nil
+	return get[EventPage](ctx, c, "/v1/events?"+q.encode())
 }
 
 // StreamEvents subscribes to the journal firehose (SSE), calling fn for

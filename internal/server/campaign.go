@@ -1,12 +1,8 @@
 package server
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"net/http"
-	"os"
-	"strconv"
+	"encoding/json"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,46 +36,55 @@ type CampaignStatus struct {
 // fields are atomics written by the runner's serial callbacks and read
 // by status snapshots and the SSE stream without locks.
 type campaignRun struct {
-	id      string
-	created time.Time
-	corr    string  // X-Lean-Correlation: cross-process parent of the campaign's root events
-	tenant  string  // X-Lean-Tenant: the admission bucket the grid counts against
-	tb      *tenant // the bucket itself, for reservation returns
-	camp    *campaign.Campaign
-
-	// restored, when non-nil, is a terminal snapshot loaded from the
-	// state store after a restart; it is served verbatim (camp is nil).
-	restored *CampaignStatus
+	admitted
+	camp *campaign.Campaign // nil for a restored terminal record
 
 	cellsDone     atomic.Int64
 	instancesDone atomic.Int64
 
-	state atomic.Int32 // jobState: the campaign lifecycle reuses it
-	errMu sync.Mutex
-	err   error
-
 	repMu  sync.Mutex
 	report *campaign.Report
-
-	done chan struct{} // closed when the campaign finishes
 }
 
-// finished reports whether the campaign reached a terminal state.
-func (cr *campaignRun) finished() bool {
-	st := jobState(cr.state.Load())
-	return st == stateDone || st == stateFailed
+// campaignKind describes campaigns to the shared lifecycle. A campaign
+// journals campaign.start at admission and no separate start event.
+var campaignKind = kind{
+	noun: "campaign", prefix: "c", dir: "campaigns", what: "campaigns",
+	admitEvent: obslog.KindCampaignStart, doneEvent: obslog.KindCampaignDone,
+	decode:    decodeCampaign,
+	blank:     func() work { return &campaignRun{} },
+	bodyField: func(r *record) *json.RawMessage { return &r.Spec },
 }
 
-// snapshot assembles the wire status from the live counters. A
-// campaign restored from a terminal state record serves its stored
-// snapshot verbatim.
-func (cr *campaignRun) snapshot() CampaignStatus {
-	if cr.restored != nil {
-		return *cr.restored
+// decodeCampaign decodes and fully resolves a campaign spec, including
+// its typed grid-limit rejections.
+func decodeCampaign(_ *Server, r io.Reader, _ int) (work, error) {
+	camp, err := campaign.DecodeSpec(r)
+	if err != nil {
+		return nil, err
 	}
+	return &campaignRun{camp: camp}, nil
+}
+
+func (cr *campaignRun) instances() int64 { return cr.camp.Instances }
+
+// payload is the normalized spec: it re-resolves at boot to the same
+// cells and the same spec hash, which is what ties the record to its
+// checkpoint manifest.
+func (cr *campaignRun) payload() json.RawMessage {
+	b, _ := json.Marshal(cr.camp.Spec) // a Spec of scalars and slices cannot fail to marshal
+	return b
+}
+
+func (cr *campaignRun) admitLabels() obslog.Labels {
+	return obslog.Labels{Detail: cr.camp.Spec.Name}
+}
+
+// snapshot assembles the wire status from the live counters.
+func (cr *campaignRun) snapshot() any {
 	st := CampaignStatus{
 		ID:             cr.id,
-		Status:         jobState(cr.state.Load()).name(),
+		Status:         cr.statusName(),
 		Created:        cr.created,
 		Name:           cr.camp.Spec.Name,
 		Tenant:         cr.tenant,
@@ -88,140 +93,22 @@ func (cr *campaignRun) snapshot() CampaignStatus {
 		CellsTotal:     len(cr.camp.Cells),
 		InstancesDone:  cr.instancesDone.Load(),
 		InstancesTotal: cr.camp.Instances,
+		Error:          cr.errText(),
 	}
-	cr.errMu.Lock()
-	if cr.err != nil {
-		st.Error = cr.err.Error()
-	}
-	cr.errMu.Unlock()
 	cr.repMu.Lock()
 	st.Report = cr.report
 	cr.repMu.Unlock()
 	return st
 }
 
-// handleCampaignSubmit admits one campaign spec: decode and fully
-// resolve (400 on any client error, including typed grid-limit
-// rejections), reserve the whole grid against the admission gate (429
-// past the high-water mark), and run asynchronously.
-func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	corr, err := correlationFrom(r)
-	if err != nil {
-		s.mCampRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ten, err := tenantFrom(r)
-	if err != nil {
-		s.mCampRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	camp, err := campaign.DecodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.mCampRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	tb, cur, ok := s.reserve(ten, camp.Instances)
-	if !ok {
-		s.mCampRejected.Inc()
-		s.journal.Append(obslog.KindJobShed, "", corr,
-			obslog.Labels{Count: camp.Instances, Tenant: ten, Detail: "campaign"})
-		w.Header().Set("Retry-After", strconv.FormatInt(s.retryAfter(cur), 10))
-		writeError(w, http.StatusTooManyRequests,
-			"server: %d instances queued (high-water %d); retry later", cur, s.cfg.HighWater)
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.release(tb, camp.Instances)
-		s.mCampRejected.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server: draining, not accepting campaigns")
-		return
-	}
-	s.cseq++
-	cr := &campaignRun{
-		id:      fmt.Sprintf("c-%06d", s.cseq),
-		created: time.Now(),
-		corr:    corr,
-		tenant:  ten,
-		tb:      tb,
-		camp:    camp,
-		done:    make(chan struct{}),
-	}
-	if s.state != nil {
-		// Persist the admission before acknowledging it, exactly like
-		// jobs; the normalized spec re-resolves to the same cells and
-		// spec hash at boot, tying the record to its checkpoint.
-		err := s.state.saveCampaign(&campaignRecord{
-			ID: cr.id, Created: cr.created, Corr: corr, Tenant: ten,
-			Spec: camp.Spec, Status: recAdmitted,
-		})
-		if err == nil {
-			err = s.state.saveSeqs(s.seq, s.cseq)
-		}
-		if err != nil {
-			// Roll back the record too: an orphaned "admitted" file would
-			// resume at the next boot as a campaign the client was told
-			// never existed.
-			s.state.removeCampaign(cr.id)
-			s.cseq--
-			s.mu.Unlock()
-			s.release(tb, camp.Instances)
-			s.mCampRejected.Inc()
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	s.campaigns[cr.id] = cr
-	s.corder = append(s.corder, cr.id)
-	s.evictCampaignsLocked()
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	s.mCampAccepted.Inc()
-	s.journal.Append(obslog.KindCampaignStart, cr.id, corr,
-		obslog.Labels{Count: camp.Instances, Tenant: ten, Detail: camp.Spec.Name})
-	go s.runCampaign(cr)
-
-	w.Header().Set("Location", "/v1/campaigns/"+cr.id)
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		ID:              cr.id,
-		Status:          jobState(cr.state.Load()).name(),
-		Location:        "/v1/campaigns/" + cr.id,
-		QueuedInstances: s.queued.Load(),
-	})
-}
-
-// runCampaign executes one admitted campaign. It owns the campaign's
-// queued-instance reservation: each completed cell returns its
+// execute runs the campaign. Each completed cell returns its
 // repetitions to the admission gate in one delta, and whatever an
 // aborted campaign never ran is returned in one piece at the end.
 // Accounting is deliberately cell-grained — a per-instance hook would
 // force the runner onto the streamed path, and admission only ever
 // compares the queued gauge against the high-water mark, so cell-sized
 // returns cost nothing but a little granularity.
-func (s *Server) runCampaign(cr *campaignRun) {
-	defer s.wg.Done()
-	select {
-	case s.sem <- struct{}{}:
-	case <-s.stopCtx.Done():
-		// Checkpoint-and-stop drain: the record is still "admitted"; the
-		// successor process re-runs the campaign from its checkpoint.
-		s.release(cr.tb, cr.camp.Instances)
-		close(cr.done)
-		return
-	}
-	defer func() { <-s.sem }()
-
-	cr.state.Store(int32(stateRunning))
-	s.mCampRunning.Inc()
-	defer s.mCampRunning.Dec()
-
+func (cr *campaignRun) execute(s *Server) error {
 	cfg := campaign.Config{
 		Shards:      s.cfg.Shards,
 		Workers:     s.cfg.Workers,
@@ -234,7 +121,7 @@ func (s *Server) runCampaign(cr *campaignRun) {
 		// With durable state armed, every campaign checkpoints under its
 		// server ID: completed cells survive a crash or a
 		// checkpoint-and-stop drain, and the resumed run's report is
-		// byte-identical to an uninterrupted one (the PR 4 guarantee).
+		// byte-identical to an uninterrupted one.
 		// Resume is always on — a fresh ID has no manifest (an empty
 		// checkpoint), a restarted one continues where its predecessor
 		// stopped.
@@ -258,109 +145,12 @@ func (s *Server) runCampaign(cr *campaignRun) {
 		cr.cellsDone.Store(int64(p.CellsDone))
 		cr.instancesDone.Store(p.InstancesDone)
 	}
-	// Without durable state, Close drains campaigns to completion
-	// exactly as before (stopCtx is never cancelled); with it, Close
-	// cancels and the run stops at the next cell boundary.
 	rep, err := cr.camp.Run(s.stopCtx, cfg)
 	s.release(cr.tb, cr.camp.Instances-returned)
-	if err != nil && s.state != nil && s.stopCtx.Err() != nil && errors.Is(err, context.Canceled) {
-		// Interrupted by the drain, not failed: completed cells are in
-		// the checkpoint, the record stays "admitted", and the next boot
-		// on this state dir resumes the run. The campaign goes back to
-		// "queued" for any status read racing the shutdown.
-		cr.state.Store(int32(stateQueued))
-		close(cr.done)
-		return
-	}
-	outcome := "ok"
-	if err != nil {
-		cr.errMu.Lock()
-		cr.err = err
-		cr.errMu.Unlock()
-		cr.state.Store(int32(stateFailed))
-		s.mCampFailed.Inc()
-		outcome = err.Error()
-	} else {
+	if err == nil {
 		cr.repMu.Lock()
 		cr.report = rep
 		cr.repMu.Unlock()
-		cr.state.Store(int32(stateDone))
-		s.mCampCompleted.Inc()
 	}
-	if s.state != nil {
-		status := recDone
-		if err != nil {
-			status = recFailed
-		}
-		s.saveCampaignTerminal(cr, status)
-	}
-	s.journal.Append(obslog.KindCampaignDone, cr.id, cr.corr, obslog.Labels{Detail: outcome})
-	close(cr.done)
-}
-
-// saveCampaignTerminal persists cr's terminal record, under s.mu and
-// only while cr is still the table's entry — the campaign mirror of
-// saveJobTerminal: the run is already in a terminal state, so an
-// unguarded write here could race evictCampaignsLocked and recreate a
-// record (and leave a checkpoint) eviction just removed. As with jobs,
-// a failed write leaves "admitted", and the next boot resumes from the
-// checkpoint to the same deterministic report.
-func (s *Server) saveCampaignTerminal(cr *campaignRun, status string) {
-	final := cr.snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.campaigns[cr.id] != cr {
-		return
-	}
-	if werr := s.state.saveCampaign(&campaignRecord{
-		ID: cr.id, Created: cr.created, Corr: cr.corr, Tenant: cr.tenant,
-		Spec: cr.camp.Spec, Status: status, Final: &final,
-	}); werr == nil {
-		// The checkpoint has served its purpose once the terminal
-		// record is durable; eviction would remove it anyway.
-		os.Remove(s.state.checkpointPath(cr.id)) //nolint:errcheck
-	}
-}
-
-// evictCampaignsLocked trims the campaign table to MaxJobsKept via the
-// shared finished-first eviction helper; an evicted campaign's durable
-// record and checkpoint are forgotten with it. Unfinished campaigns are
-// never evicted.
-func (s *Server) evictCampaignsLocked() {
-	s.corder = evictFinished(s.campaigns, s.corder, s.cfg.MaxJobsKept, &s.cevictSkip, func(id string) {
-		if s.state != nil {
-			s.state.removeCampaign(id)
-		}
-	})
-}
-
-// lookupCampaign returns the campaign or writes a 404.
-func (s *Server) lookupCampaign(w http.ResponseWriter, id string) *campaignRun {
-	s.mu.Lock()
-	cr := s.campaigns[id]
-	s.mu.Unlock()
-	if cr == nil {
-		writeError(w, http.StatusNotFound, "server: unknown campaign %q", id)
-	}
-	return cr
-}
-
-// handleCampaign reports one campaign's status and, when finished, its
-// report.
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	cr := s.lookupCampaign(w, r.PathValue("id"))
-	if cr == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, cr.snapshot())
-}
-
-// handleCampaignStream serves one campaign's progress as server-sent
-// events, through the same snapshot-stream machinery as the job stream.
-func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
-	cr := s.lookupCampaign(w, r.PathValue("id"))
-	if cr == nil {
-		return
-	}
-	streamSnapshots(w, r, cr.done, func() any { return cr.snapshot() })
+	return err
 }

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,30 +15,6 @@ import (
 	"leanconsensus/internal/trace"
 	"leanconsensus/internal/xrand"
 )
-
-// jobState is a job's lifecycle position.
-type jobState int32
-
-const (
-	stateQueued jobState = iota
-	stateRunning
-	stateDone
-	stateFailed
-)
-
-// name renders the state for the wire.
-func (s jobState) name() string {
-	switch s {
-	case stateQueued:
-		return "queued"
-	case stateRunning:
-		return "running"
-	case stateDone:
-		return "done"
-	default:
-		return "failed"
-	}
-}
 
 // specRun is one spec's execution state inside a job. Progress fields
 // are atomics written from arena workers (via OnServe) and read by
@@ -55,47 +34,46 @@ type specRun struct {
 
 // job is one admitted batch.
 type job struct {
-	id      string
-	created time.Time
-	corr    string  // X-Lean-Correlation: cross-process parent of the job's root events
-	tenant  string  // X-Lean-Tenant: the admission bucket the batch counts against
-	tb      *tenant // the bucket itself, for reservation returns
-	specs   []*specRun
+	admitted
+	specs []*specRun
 
 	// submit is the original request body (durable state only): it is
-	// what the job's "admitted" record stores, and what a successor
-	// process re-decodes to re-run interrupted work.
+	// what the job's state record stores, and what a successor process
+	// re-decodes to re-run interrupted work.
 	submit []byte
-	// restored, when non-nil, is a terminal snapshot loaded from the
-	// state store after a restart; it is served verbatim.
-	restored *JobStatus
-
-	state atomic.Int32
-	errMu sync.Mutex
-	err   error
-
-	done chan struct{} // closed when the job finishes (done or failed)
 }
 
-// totalInstances sums the batch's instance counts — the size of its
-// admission reservation.
-func (j *job) totalInstances() int64 {
-	var t int64
-	for _, sr := range j.specs {
-		t += int64(sr.job.Instances)
-	}
-	return t
+// jobKind describes jobs to the shared lifecycle.
+var jobKind = kind{
+	noun: "job", prefix: "j", dir: "jobs", what: "job batches",
+	admitEvent: obslog.KindJobAdmit, startEvent: obslog.KindJobStart, doneEvent: obslog.KindJobDone,
+	decode:    decodeJob,
+	blank:     func() work { return &job{} },
+	bodyField: func(r *record) *json.RawMessage { return &r.Submit },
 }
 
-// newJob builds the bookkeeping for one admitted batch.
-func newJob(id string, batch *Batch, shards int, corr string) *job {
-	j := &job{
-		id:      id,
-		created: time.Now(),
-		corr:    corr,
-		specs:   make([]*specRun, len(batch.Jobs)),
-		done:    make(chan struct{}),
+// decodeJob buffers and decodes a POST /v1/jobs body. With durable
+// state armed the body is kept: it becomes the record's stored submit,
+// re-decoded through this same path if a crash forces a re-run.
+func decodeJob(s *Server, r io.Reader, maxBatch int) (work, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("server: bad request body: %v", err)
 	}
+	batch, err := DecodeSubmit(bytes.NewReader(body), maxBatch)
+	if err != nil {
+		return nil, err
+	}
+	j := newJob(batch, s.cfg.Shards)
+	if s.state != nil {
+		j.submit = body
+	}
+	return j, nil
+}
+
+// newJob builds the bookkeeping for one decoded batch.
+func newJob(batch *Batch, shards int) *job {
+	j := &job{specs: make([]*specRun, len(batch.Jobs))}
 	for i := range batch.Jobs {
 		j.specs[i] = &specRun{
 			spec:     batch.Specs[i],
@@ -107,34 +85,38 @@ func newJob(id string, batch *Batch, shards int, corr string) *job {
 	return j
 }
 
-// statusName renders the current lifecycle state.
-func (j *job) statusName() string { return jobState(j.state.Load()).name() }
-
-// finished reports whether the job has reached a terminal state.
-func (j *job) finished() bool {
-	st := jobState(j.state.Load())
-	return st == stateDone || st == stateFailed
+// instances sums the batch's instance counts.
+func (j *job) instances() int64 {
+	var t int64
+	for _, sr := range j.specs {
+		t += int64(sr.job.Instances)
+	}
+	return t
 }
 
-// snapshot assembles the wire status from the live counters. A job
-// restored from a terminal state record serves its stored snapshot
-// verbatim — the record is the history.
-func (j *job) snapshot() JobStatus {
-	if j.restored != nil {
-		return *j.restored
+func (j *job) payload() json.RawMessage { return j.submit }
+
+// admitLabels puts a single-spec batch's (the common case) workload axes
+// on the admit event; multi-spec batches carry them per spec via
+// metrics.
+func (j *job) admitLabels() obslog.Labels {
+	if len(j.specs) != 1 {
+		return obslog.Labels{}
 	}
+	jb := j.specs[0].job
+	return obslog.Labels{Model: jb.ModelName, Dist: jb.DistName, Adversary: jb.AdvName, N: jb.N}
+}
+
+// snapshot assembles the wire status from the live counters.
+func (j *job) snapshot() any {
 	st := JobStatus{
 		ID:      j.id,
 		Status:  j.statusName(),
 		Created: j.created,
 		Tenant:  j.tenant,
 		Specs:   make([]SpecStatus, len(j.specs)),
+		Error:   j.errText(),
 	}
-	j.errMu.Lock()
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	j.errMu.Unlock()
 	for i, sr := range j.specs {
 		ss := SpecStatus{
 			Spec:      sr.spec,
@@ -156,81 +138,17 @@ func (j *job) snapshot() JobStatus {
 	return st
 }
 
-// runJob executes every spec of one admitted job, in order, on its own
-// arenas. It owns the job's queued-instance reservation: finished
-// instances return their units to the admission gate as each derived
-// batch completes.
-func (s *Server) runJob(j *job) {
-	defer s.wg.Done()
-	select {
-	case s.sem <- struct{}{}:
-	case <-s.stopCtx.Done():
-		// Checkpoint-and-stop drain (durable state armed): the job never
-		// started, its record is still "admitted", and the successor
-		// process re-runs it — hand back the reservation and leave.
-		s.release(j.tb, j.totalInstances())
-		close(j.done)
-		return
-	}
-	defer func() { <-s.sem }()
-
-	j.state.Store(int32(stateRunning))
-	s.mRunning.Inc()
-	defer s.mRunning.Dec()
-	s.journal.Append(obslog.KindJobStart, j.id, j.corr, obslog.Labels{})
-
+// execute runs every spec of the job, in order, on its own arenas;
+// finished instances return their reservation units to the admission
+// gate as each derived batch completes.
+func (j *job) execute(s *Server) error {
 	var failed error
 	for _, sr := range j.specs {
 		if err := s.runSpec(j, sr); err != nil && failed == nil {
 			failed = err
 		}
 	}
-	outcome := "ok"
-	if failed != nil {
-		j.errMu.Lock()
-		j.err = failed
-		j.errMu.Unlock()
-		j.state.Store(int32(stateFailed))
-		s.mFailed.Inc()
-		outcome = failed.Error()
-	} else {
-		j.state.Store(int32(stateDone))
-		s.mCompleted.Inc()
-	}
-	if s.state != nil {
-		status := recDone
-		if failed != nil {
-			status = recFailed
-		}
-		s.saveJobTerminal(j, status)
-	}
-	s.journal.Append(obslog.KindJobDone, j.id, j.corr, obslog.Labels{Detail: outcome})
-	close(j.done)
-}
-
-// saveJobTerminal persists j's terminal record, under s.mu and only
-// while j is still the table's entry: the job is already in a terminal
-// state, so a concurrent evictLocked may have deleted the entry and
-// removed its record file, and an unguarded write here would recreate
-// the file — resurrecting the evicted ID at the next boot, with disk
-// and table disagreeing. Holding s.mu orders the two: either the save
-// lands first and eviction removes it, or eviction wins and the save
-// is skipped.
-//
-// A failed record write leaves the record "admitted": the next boot
-// re-runs the job and, results being deterministic, serves the same
-// outcome — so the error needs no further handling.
-func (s *Server) saveJobTerminal(j *job, status string) {
-	final := j.snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.jobs[j.id] != j {
-		return
-	}
-	s.state.saveJob(&jobRecord{ //nolint:errcheck
-		ID: j.id, Created: j.created, Corr: j.corr, Tenant: j.tenant,
-		Submit: j.submit, Status: status, Final: &final,
-	})
+	return failed
 }
 
 // runSpec serves one spec on its own arena and folds the results into

@@ -144,7 +144,7 @@ func checkRunSpec(t *testing.T, body string, shards, workers int) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j := newJob("j-test", batch, shards, "")
+	j := newJob(batch, shards)
 	sr := j.specs[0]
 	if err := s.runSpec(j, sr); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func BenchmarkJobSpec(b *testing.B) {
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				j := newJob("j-bench", batch, arena.DefaultShards, "")
+				j := newJob(batch, arena.DefaultShards)
 				if err := s.runSpec(j, j.specs[0]); err != nil {
 					b.Fatal(err)
 				}

@@ -25,16 +25,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"path"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,7 +93,8 @@ type Config struct {
 	// MaxConcurrentJobs bounds jobs executing at once; further admitted
 	// jobs wait in "queued" state (default GOMAXPROCS/2, min 1).
 	MaxConcurrentJobs int
-	// MaxJobsKept bounds the job table (default DefaultMaxJobsKept).
+	// MaxJobsKept bounds the job table, and separately the campaign
+	// table (default DefaultMaxJobsKept).
 	MaxJobsKept int
 	// Registry receives the server's and every job arena's telemetry; New
 	// creates one when nil. Expose it at /metrics or share it across
@@ -152,16 +150,10 @@ type Server struct {
 	reg *metrics.Registry
 	mux *http.ServeMux
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []string // creation order, for eviction
-	evictSkip  int      // eviction scan frontier into order
-	seq        uint64
-	campaigns  map[string]*campaignRun
-	corder     []string // campaign creation order, for eviction
-	cevictSkip int      // eviction scan frontier into corder
-	cseq       uint64
-	closed     bool
+	mu        sync.Mutex // guards the kinds' tables and closed
+	jobs      *kind
+	campaigns *kind
+	closed    bool
 
 	wg     sync.WaitGroup // running jobs and campaigns
 	sem    chan struct{}  // bounds concurrently executing jobs/campaigns
@@ -193,19 +185,8 @@ type Server struct {
 	// the seam that parks a stream where a client already holds its 200.
 	afterEventsFlush func()
 
-	mAccepted  *metrics.Counter
-	mRejected  *metrics.Counter
-	mCompleted *metrics.Counter
-	mFailed    *metrics.Counter
-	mRunning   *metrics.Gauge
-
-	mCampAccepted  *metrics.Counter
-	mCampRejected  *metrics.Counter
-	mCampCompleted *metrics.Counter
-	mCampFailed    *metrics.Counter
-	mCampRunning   *metrics.Gauge
-	campMetrics    *campaign.Metrics
-	campAxes       *campaign.AxisMetrics
+	campMetrics *campaign.Metrics
+	campAxes    *campaign.AxisMetrics
 
 	journal  *obslog.Journal
 	store    *store.Store
@@ -257,30 +238,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:       cfg,
-		reg:       cfg.Registry,
-		jobs:      make(map[string]*job),
-		campaigns: make(map[string]*campaignRun),
-		tenants:   make(map[string]*tenant),
-		sem:       make(chan struct{}, cfg.MaxConcurrentJobs),
-		gcNow:     time.Now,
-		gcRead:    gcPauseP99Ms,
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		tenants: make(map[string]*tenant),
+		sem:     make(chan struct{}, cfg.MaxConcurrentJobs),
+		gcNow:   time.Now,
+		gcRead:  gcPauseP99Ms,
 	}
 	s.rate.now = time.Now
 	s.rate.rate = initialRate
 	s.stopCtx, s.stopFn = context.WithCancel(context.Background())
-	const jobsTotal = "leanconsensus_jobs_total"
-	s.mAccepted = s.reg.Counter(jobsTotal+metrics.Labels("event", "accepted"), "job batches by lifecycle event")
-	s.mRejected = s.reg.Counter(jobsTotal+metrics.Labels("event", "rejected"), "job batches by lifecycle event")
-	s.mCompleted = s.reg.Counter(jobsTotal+metrics.Labels("event", "completed"), "job batches by lifecycle event")
-	s.mFailed = s.reg.Counter(jobsTotal+metrics.Labels("event", "failed"), "job batches by lifecycle event")
-	s.mRunning = s.reg.Gauge("leanconsensus_jobs_running", "jobs currently executing")
-	const campaignsTotal = "leanconsensus_campaigns_total"
-	s.mCampAccepted = s.reg.Counter(campaignsTotal+metrics.Labels("event", "accepted"), "campaigns by lifecycle event")
-	s.mCampRejected = s.reg.Counter(campaignsTotal+metrics.Labels("event", "rejected"), "campaigns by lifecycle event")
-	s.mCampCompleted = s.reg.Counter(campaignsTotal+metrics.Labels("event", "completed"), "campaigns by lifecycle event")
-	s.mCampFailed = s.reg.Counter(campaignsTotal+metrics.Labels("event", "failed"), "campaigns by lifecycle event")
-	s.mCampRunning = s.reg.Gauge("leanconsensus_campaigns_running", "campaigns currently executing")
+	s.jobs, s.campaigns = s.newKind(jobKind), s.newKind(campaignKind)
 	s.campMetrics = campaign.NewMetrics(s.reg)
 	s.campAxes = campaign.NewAxisMetrics(s.reg)
 	s.reg.GaugeFunc("leanconsensus_queued_instances",
@@ -293,11 +261,8 @@ func New(cfg Config) (*Server, error) {
 	// Durable state restores before the journal store arms: the restored
 	// tables and continued ID sequences must exist before any replayed
 	// history is followed or any resumed work journals new events.
-	var rerunJobs []*job
-	var rerunCampaigns []*campaignRun
 	if cfg.StateDir != "" {
-		var err error
-		if rerunJobs, rerunCampaigns, err = s.armState(); err != nil {
+		if err := s.armState(); err != nil {
 			return nil, err
 		}
 	}
@@ -315,13 +280,12 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	for _, k := range s.kinds() {
+		s.mux.HandleFunc("POST /v1/"+k.dir, s.handleSubmit(k))
+		s.mux.HandleFunc("GET /v1/"+k.dir+"/{id}", s.handleStatus(k))
+		s.mux.HandleFunc("GET /v1/"+k.dir+"/{id}/stream", s.handleStream(k))
+	}
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	s.mux.HandleFunc("POST /v1/campaigns", s.handleCampaignSubmit)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.handleCampaign)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}/stream", s.handleCampaignStream)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("GET /v1/adversaries", s.handleAdversaries)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
@@ -333,19 +297,17 @@ func New(cfg Config) (*Server, error) {
 	// history), so it re-enters the gate unconditionally rather than
 	// through reserve, and its start/resume/done events continue the
 	// replayed chain.
-	for _, j := range rerunJobs {
-		j.tb = s.tenantFor(j.tenant)
-		s.queued.Add(j.totalInstances())
-		j.tb.queued.Add(j.totalInstances())
-		s.wg.Add(1)
-		go s.runJob(j)
-	}
-	for _, cr := range rerunCampaigns {
-		cr.tb = s.tenantFor(cr.tenant)
-		s.queued.Add(cr.camp.Instances)
-		cr.tb.queued.Add(cr.camp.Instances)
-		s.wg.Add(1)
-		go s.runCampaign(cr)
+	for _, k := range s.kinds() {
+		for _, id := range k.order {
+			if w := k.entries[id]; !w.finished() {
+				h := w.hdr()
+				h.tb = s.tenantFor(h.tenant)
+				s.queued.Add(w.instances())
+				h.tb.queued.Add(w.instances())
+				s.wg.Add(1)
+				go s.run(k, w)
+			}
+		}
 	}
 	return s, nil
 }
@@ -517,154 +479,13 @@ func correlationFrom(r *http.Request) (string, error) {
 	return v, nil
 }
 
-// handleSubmit admits one batch of job specs.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	corr, err := correlationFrom(r)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ten, err := tenantFrom(r)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The body is buffered before decoding: with durable state armed it
-	// becomes the record's stored submit, re-decoded through this same
-	// path if a crash forces a re-run.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "server: bad request body: %v", err)
-		return
-	}
-	batch, err := DecodeSubmit(bytes.NewReader(body), s.cfg.MaxBatch)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	var total int64
-	for _, jb := range batch.Jobs {
-		total += int64(jb.Instances)
-	}
-	tb, cur, ok := s.reserve(ten, total)
-	if !ok {
-		s.mRejected.Inc()
-		s.journal.Append(obslog.KindJobShed, "", corr,
-			obslog.Labels{Count: total, Tenant: ten, Detail: "job"})
-		w.Header().Set("Retry-After", strconv.FormatInt(s.retryAfter(cur), 10))
-		writeError(w, http.StatusTooManyRequests,
-			"server: %d instances queued (high-water %d); retry later", cur, s.cfg.HighWater)
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.release(tb, total)
-		s.mRejected.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server: draining, not accepting jobs")
-		return
-	}
-	s.seq++
-	j := newJob(fmt.Sprintf("j-%06d", s.seq), batch, s.cfg.Shards, corr)
-	j.tenant, j.tb = ten, tb
-	if s.state != nil {
-		// Persist the admission before it is acknowledged: the durable ID
-		// contract means a 202'd ID must resolve after any restart. A
-		// record that cannot be written is an admission that never
-		// happened.
-		j.submit = body
-		err := s.state.saveJob(&jobRecord{
-			ID: j.id, Created: j.created, Corr: corr, Tenant: ten,
-			Submit: body, Status: recAdmitted,
-		})
-		if err == nil {
-			err = s.state.saveSeqs(s.seq, s.cseq)
-		}
-		if err != nil {
-			// Roll back everything the failed admission touched — the
-			// record too: an orphaned "admitted" file would re-run at the
-			// next boot as a job the client was told never existed.
-			s.state.removeJob(j.id)
-			s.seq--
-			s.mu.Unlock()
-			s.release(tb, total)
-			s.mRejected.Inc()
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictLocked()
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	s.mAccepted.Inc()
-	// A single-spec batch (the common case) gets its workload axes on the
-	// admit event; multi-spec batches carry them per spec via metrics.
-	admit := obslog.Labels{Count: total, Tenant: ten}
-	if len(batch.Jobs) == 1 {
-		jb := batch.Jobs[0]
-		admit.Model, admit.Dist, admit.Adversary, admit.N = jb.ModelName, jb.DistName, jb.AdvName, jb.N
-	}
-	s.journal.Append(obslog.KindJobAdmit, j.id, corr, admit)
-	go s.runJob(j)
-
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		ID:              j.id,
-		Status:          j.statusName(),
-		Location:        "/v1/jobs/" + j.id,
-		QueuedInstances: s.queued.Load(),
-	})
-}
-
-// evictLocked trims the job table to MaxJobsKept via the shared
-// finished-first eviction helper; an evicted job's durable record is
-// forgotten with it. Unfinished jobs are never evicted.
-func (s *Server) evictLocked() {
-	s.order = evictFinished(s.jobs, s.order, s.cfg.MaxJobsKept, &s.evictSkip, func(id string) {
-		if s.state != nil {
-			s.state.removeJob(id)
-		}
-	})
-}
-
-// lookup returns the job or writes a 404.
-func (s *Server) lookup(w http.ResponseWriter, id string) *job {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "server: unknown job %q", id)
-	}
-	return j
-}
-
-// handleJob reports one job's status and, when finished, its results.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, j.snapshot())
-}
-
 // handleJobTrace serves a traced job's flight-recorder captures. It
 // answers at any lifecycle stage — capture blocks appear as specs
 // finish — so clients can poll it alongside the status endpoint.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
+	if wk := s.lookup(w, s.jobs, r.PathValue("id")); wk != nil {
+		writeJSON(w, http.StatusOK, wk.(*job).traceSnapshot())
 	}
-	writeJSON(w, http.StatusOK, j.traceSnapshot())
 }
 
 // handleModels lists the three registries the wire spec resolves
@@ -712,21 +533,15 @@ func (s *Server) handleAdversaries(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	closed := s.closed
-	live, depth := 0, 0
-	for _, j := range s.jobs {
-		if !j.finished() {
-			live++
-			if jobState(j.state.Load()) == stateQueued {
-				depth++
-			}
-		}
-	}
-	liveCampaigns := 0
-	for _, cr := range s.campaigns {
-		if !cr.finished() {
-			liveCampaigns++
-			if jobState(cr.state.Load()) == stateQueued {
-				depth++
+	var live [2]int
+	depth := 0
+	for i, k := range s.kinds() {
+		for _, w := range k.entries {
+			if !w.finished() {
+				live[i]++
+				if workState(w.hdr().state.Load()) == stateQueued {
+					depth++
+				}
 			}
 		}
 	}
@@ -750,8 +565,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Revision:        bi.Revision,
 		Node:            s.journal.Node(),
 		QueuedInstances: s.queued.Load(),
-		Jobs:            live,
-		Campaigns:       liveCampaigns,
+		Jobs:            live[0],
+		Campaigns:       live[1],
 		QueueDepth:      depth,
 		Tenants:         tenants,
 		Goroutines:      runtime.NumGoroutine(),

@@ -9,14 +9,17 @@ import (
 // streamInterval is the progress cadence of the SSE endpoints.
 const streamInterval = 100 * time.Millisecond
 
-// streamSnapshots serves a long-running object's progress as server-sent
-// events: an immediate "progress" event, one more per tick until done
-// closes, and a terminal "done" event carrying the final snapshot. The
-// stream ends after "done" or when the client goes away; a reconnecting
-// client simply gets a fresh snapshot, since events are snapshots rather
-// than deltas. Both the job and campaign stream endpoints are this
-// function with a different snapshot closure.
-func streamSnapshots(w http.ResponseWriter, r *http.Request, done <-chan struct{}, snapshot func() any) {
+// streamSnapshots serves a unit of work's progress as server-sent
+// events: an immediate "progress" event, one more per tick until the
+// work's done channel closes, and then a terminal "done" event carrying
+// the final snapshot. "done" is sent only for a terminal snapshot: a
+// checkpoint-and-stop drain also closes done, handing queued or
+// interrupted work to the successor process, and then the stream just
+// ends, which a client reports as a stream without a done event. The
+// stream also ends when the client goes away; a reconnecting client
+// simply gets a fresh snapshot, since events are snapshots rather than
+// deltas.
+func streamSnapshots(w http.ResponseWriter, r *http.Request, wk work) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "server: response writer cannot stream")
@@ -29,7 +32,7 @@ func streamSnapshots(w http.ResponseWriter, r *http.Request, done <-chan struct{
 	w.WriteHeader(http.StatusOK)
 
 	write := func(event string) bool {
-		data, err := json.Marshal(snapshot())
+		data, err := json.Marshal(statusOf(wk))
 		if err != nil {
 			return false
 		}
@@ -53,8 +56,10 @@ func streamSnapshots(w http.ResponseWriter, r *http.Request, done <-chan struct{
 	defer ticker.Stop()
 	for {
 		select {
-		case <-done:
-			write("done")
+		case <-wk.hdr().done:
+			if wk.finished() {
+				write("done")
+			}
 			return
 		case <-r.Context().Done():
 			return
@@ -64,13 +69,4 @@ func streamSnapshots(w http.ResponseWriter, r *http.Request, done <-chan struct{
 			}
 		}
 	}
-}
-
-// handleStream serves one job's progress as server-sent events.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
-	}
-	streamSnapshots(w, r, j.done, func() any { return j.snapshot() })
 }

@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"leanconsensus/internal/campaign"
 )
 
 // The durable service-state layer. With Config.StateDir set, the server
@@ -49,36 +47,25 @@ const (
 	recFailed   = "failed"
 )
 
-// jobRecord is the on-disk form of one admitted job batch.
-type jobRecord struct {
+// record is the on-disk form of one admitted job batch or campaign.
+type record struct {
 	Version int       `json:"version"`
 	ID      string    `json:"id"`
 	Created time.Time `json:"created"`
 	Corr    string    `json:"correlation,omitempty"`
 	Tenant  string    `json:"tenant,omitempty"`
-	// Submit is the original POST /v1/jobs body, stored verbatim so an
-	// interrupted job re-decodes through the same DecodeSubmit path at
-	// boot (registries revalidate; results are deterministic).
-	Submit json.RawMessage `json:"submit"`
+	// Submit (jobs) is the original POST /v1/jobs body, stored verbatim
+	// so an interrupted job re-decodes through the same DecodeSubmit path
+	// at boot (registries revalidate; results are deterministic).
+	Submit json.RawMessage `json:"submit,omitempty"`
+	// Spec (campaigns) is the normalized campaign spec; it re-resolves at
+	// boot to the same cells and the same spec hash, which is what ties
+	// the record to its checkpoint manifest.
+	Spec   json.RawMessage `json:"spec,omitempty"`
 	Status string          `json:"status"`
 	// Final is the terminal status snapshot, served verbatim after a
 	// restart (wall-clock fields and all — the record is the history).
-	Final *JobStatus `json:"final,omitempty"`
-}
-
-// campaignRecord is the on-disk form of one admitted campaign.
-type campaignRecord struct {
-	Version int       `json:"version"`
-	ID      string    `json:"id"`
-	Created time.Time `json:"created"`
-	Corr    string    `json:"correlation,omitempty"`
-	Tenant  string    `json:"tenant,omitempty"`
-	// Spec is the normalized campaign spec; it re-resolves at boot to
-	// the same cells and the same spec hash, which is what ties the
-	// record to its checkpoint manifest.
-	Spec   campaign.Spec   `json:"spec"`
-	Status string          `json:"status"`
-	Final  *CampaignStatus `json:"final,omitempty"`
+	Final json.RawMessage `json:"final,omitempty"`
 }
 
 // seqsRecord persists the ID counters, exactly like journal seqs: boot
@@ -116,9 +103,9 @@ func openStateStore(dir string) (*stateStore, error) {
 	return &stateStore{dir: dir}, nil
 }
 
-func (st *stateStore) jobPath(id string) string { return filepath.Join(st.dir, "jobs", id+".json") }
-func (st *stateStore) campaignPath(id string) string {
-	return filepath.Join(st.dir, "campaigns", id+".json")
+// path is the record location of one unit of work of kind k.
+func (st *stateStore) path(k *kind, id string) string {
+	return filepath.Join(st.dir, k.dir, id+".json")
 }
 
 // checkpointPath is the campaign's manifest location — derived from the
@@ -171,14 +158,16 @@ func writeRecord(path string, v any) error {
 	return nil
 }
 
-func (st *stateStore) saveJob(rec *jobRecord) error {
-	rec.Version = stateVersion
-	return writeRecord(st.jobPath(rec.ID), rec)
-}
-
-func (st *stateStore) saveCampaign(rec *campaignRecord) error {
-	rec.Version = stateVersion
-	return writeRecord(st.campaignPath(rec.ID), rec)
+// save writes w's record with the given lifecycle status (and, for a
+// terminal one, its final snapshot).
+func (st *stateStore) save(k *kind, w work, status string, final json.RawMessage) error {
+	h := w.hdr()
+	rec := &record{
+		Version: stateVersion, ID: h.id, Created: h.created, Corr: h.corr, Tenant: h.tenant,
+		Status: status, Final: final,
+	}
+	*k.bodyField(rec) = w.payload()
+	return writeRecord(st.path(k, h.id), rec)
 }
 
 func (st *stateStore) saveSeqs(jobSeq, campSeq uint64) error {
@@ -186,15 +175,11 @@ func (st *stateStore) saveSeqs(jobSeq, campSeq uint64) error {
 		&seqsRecord{Version: stateVersion, JobSeq: jobSeq, CampaignSeq: campSeq})
 }
 
-// removeJob forgets an evicted job's record; once the in-memory table
-// has dropped the entry, a restart must not resurrect it.
-func (st *stateStore) removeJob(id string) {
-	os.Remove(st.jobPath(id)) //nolint:errcheck // already-gone is fine
-}
-
-// removeCampaign forgets an evicted campaign's record and checkpoint.
-func (st *stateStore) removeCampaign(id string) {
-	os.Remove(st.campaignPath(id))   //nolint:errcheck
+// remove forgets an evicted entry's record and campaign checkpoint;
+// once the in-memory table has dropped the entry, a restart must not
+// resurrect it.
+func (st *stateStore) remove(k *kind, id string) {
+	os.Remove(st.path(k, id))        //nolint:errcheck // already-gone is fine
 	os.Remove(st.checkpointPath(id)) //nolint:errcheck
 }
 
@@ -217,46 +202,23 @@ func (st *stateStore) loadSeqs() (jobSeq, campSeq uint64, err error) {
 	return rec.JobSeq, rec.CampaignSeq, nil
 }
 
-// loadJobs reads every job record, sorted by ID (zero-padded IDs make
-// lexicographic order creation order). Records are written atomically,
-// so a record that fails to parse is real damage, not a torn write —
-// boot fails loudly rather than silently forgetting admitted work.
-func (st *stateStore) loadJobs() ([]*jobRecord, error) {
-	paths, err := recordPaths(filepath.Join(st.dir, "jobs"))
+// load reads every record of kind k, sorted by ID (zero-padded IDs
+// make lexicographic order creation order). Records are written
+// atomically, so a record that fails to parse is real damage, not a torn
+// write — boot fails loudly rather than silently forgetting admitted
+// work.
+func (st *stateStore) load(k *kind) ([]*record, error) {
+	paths, err := recordPaths(filepath.Join(st.dir, k.dir))
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]*jobRecord, 0, len(paths))
+	recs := make([]*record, 0, len(paths))
 	for _, p := range paths {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			return nil, fmt.Errorf("server: read state record: %w", err)
 		}
-		rec := &jobRecord{}
-		if err := json.Unmarshal(b, rec); err != nil {
-			return nil, fmt.Errorf("server: corrupt state record %s: %v", p, err)
-		}
-		if rec.Version != stateVersion {
-			return nil, fmt.Errorf("server: state record %s has version %d, want %d", p, rec.Version, stateVersion)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// loadCampaigns reads every campaign record, sorted by ID.
-func (st *stateStore) loadCampaigns() ([]*campaignRecord, error) {
-	paths, err := recordPaths(filepath.Join(st.dir, "campaigns"))
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]*campaignRecord, 0, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("server: read state record: %w", err)
-		}
-		rec := &campaignRecord{}
+		rec := &record{}
 		if err := json.Unmarshal(b, rec); err != nil {
 			return nil, fmt.Errorf("server: corrupt state record %s: %v", p, err)
 		}
@@ -270,115 +232,66 @@ func (st *stateStore) loadCampaigns() ([]*campaignRecord, error) {
 
 // armState opens the state store and restores the previous process's
 // tables. Terminal records become servable history again (their final
-// snapshots are returned verbatim); records still marked "admitted" are
-// interrupted work, returned to the caller for re-running once the
-// journal is armed. ID sequences continue from the persisted counters,
-// defensively maxed against the stored record IDs so even a lost
-// seqs.json cannot re-mint an ID a client already holds.
+// snapshots are served verbatim); records still marked "admitted" are
+// interrupted work, left queued in the tables for New to re-run once
+// the journal is armed. ID sequences continue from the persisted
+// counters, defensively maxed against the stored record IDs so even a
+// lost seqs.json cannot re-mint an ID a client already holds.
 //
 // Runs inside New before the server serves anything, so the table
 // mutations need no locks.
-func (s *Server) armState() (rerunJobs []*job, rerunCampaigns []*campaignRun, err error) {
+func (s *Server) armState() error {
 	st, err := openStateStore(s.cfg.StateDir)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	jobSeq, campSeq, err := st.loadSeqs()
-	if err != nil {
-		return nil, nil, err
-	}
-	jrecs, err := st.loadJobs()
-	if err != nil {
-		return nil, nil, err
-	}
-	crecs, err := st.loadCampaigns()
-	if err != nil {
-		return nil, nil, err
+	if s.jobs.seq, s.campaigns.seq, err = st.loadSeqs(); err != nil {
+		return err
 	}
 	s.state = st
-
-	for _, rec := range jrecs {
-		if n := idSeq(rec.ID); n > jobSeq {
-			jobSeq = n
+	for _, k := range s.kinds() {
+		recs, err := st.load(k)
+		if err != nil {
+			return err
 		}
-		switch rec.Status {
-		case recDone, recFailed:
-			j := &job{
-				id: rec.ID, created: rec.Created, corr: rec.Corr,
-				tenant: rec.Tenant, restored: rec.Final,
-				done: make(chan struct{}),
+		for _, rec := range recs {
+			k.seq = max(k.seq, idSeq(rec.ID))
+			var w work
+			switch rec.Status {
+			case recDone, recFailed:
+				w = k.blank()
+				if rec.Final != nil {
+					// Marshalling compacts the record's indented snapshot, so
+					// the table holds it at its wire size; it parsed, so it
+					// cannot fail.
+					w.hdr().restored, _ = json.Marshal(rec.Final)
+				}
+			case recAdmitted:
+				// The stored body re-decodes through the admission path's
+				// own decoder; results are a pure function of the spec, so
+				// the re-run serves what the interrupted run would have.
+				if w, err = k.decode(s, bytes.NewReader(*k.bodyField(rec)), 0); err != nil {
+					return fmt.Errorf("server: state record %s: %v", rec.ID, err)
+				}
+			default:
+				return fmt.Errorf("server: state record %s has unknown status %q", rec.ID, rec.Status)
 			}
-			if rec.Status == recDone {
-				j.state.Store(int32(stateDone))
-			} else {
-				j.state.Store(int32(stateFailed))
+			h := w.hdr()
+			h.admit(rec.ID, rec.Created, rec.Corr, rec.Tenant)
+			if rec.Status != recAdmitted {
+				h.state.Store(int32(stateDone))
+				if rec.Status == recFailed {
+					h.state.Store(int32(stateFailed))
+				}
+				close(h.done)
 			}
-			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-		case recAdmitted:
-			// The stored submit re-decodes through the admission path's
-			// own decoder; results are a pure function of the spec, so the
-			// re-run serves what the interrupted run would have.
-			batch, derr := DecodeSubmit(bytes.NewReader(rec.Submit), 0)
-			if derr != nil {
-				return nil, nil, fmt.Errorf("server: state record %s: %v", rec.ID, derr)
-			}
-			j := newJob(rec.ID, batch, s.cfg.Shards, rec.Corr)
-			j.created = rec.Created
-			j.tenant = rec.Tenant
-			j.submit = rec.Submit
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-			rerunJobs = append(rerunJobs, j)
-		default:
-			return nil, nil, fmt.Errorf("server: state record %s has unknown status %q", rec.ID, rec.Status)
+			k.insert(w)
 		}
+		// A history larger than MaxJobsKept still respects the table
+		// bound; eviction forgets the trimmed records' files too.
+		s.evictLocked(k)
 	}
-
-	for _, rec := range crecs {
-		if n := idSeq(rec.ID); n > campSeq {
-			campSeq = n
-		}
-		switch rec.Status {
-		case recDone, recFailed:
-			cr := &campaignRun{
-				id: rec.ID, created: rec.Created, corr: rec.Corr,
-				tenant: rec.Tenant, restored: rec.Final,
-				done: make(chan struct{}),
-			}
-			if rec.Status == recDone {
-				cr.state.Store(int32(stateDone))
-			} else {
-				cr.state.Store(int32(stateFailed))
-			}
-			close(cr.done)
-			s.campaigns[cr.id] = cr
-			s.corder = append(s.corder, cr.id)
-		case recAdmitted:
-			camp, rerr := rec.Spec.Resolve()
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("server: state record %s: %v", rec.ID, rerr)
-			}
-			cr := &campaignRun{
-				id: rec.ID, created: rec.Created, corr: rec.Corr,
-				tenant: rec.Tenant, camp: camp,
-				done: make(chan struct{}),
-			}
-			s.campaigns[cr.id] = cr
-			s.corder = append(s.corder, cr.id)
-			rerunCampaigns = append(rerunCampaigns, cr)
-		default:
-			return nil, nil, fmt.Errorf("server: state record %s has unknown status %q", rec.ID, rec.Status)
-		}
-	}
-
-	s.seq, s.cseq = jobSeq, campSeq
-	// A history larger than MaxJobsKept still respects the table bound;
-	// eviction forgets the trimmed records' files too.
-	s.evictLocked()
-	s.evictCampaignsLocked()
-	return rerunJobs, rerunCampaigns, nil
+	return nil
 }
 
 // idSeq parses the numeric tail of a "j-%06d"/"c-%06d" ID (0 when

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"leanconsensus/internal/campaign"
+	"leanconsensus/internal/metrics"
 )
 
 // TestTerminalSaveSkipsEvictedEntries pins the ordering between
@@ -20,35 +21,32 @@ func TestTerminalSaveSkipsEvictedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{
-		state:     st,
-		jobs:      map[string]*job{},
-		campaigns: map[string]*campaignRun{},
-	}
+	s := &Server{state: st, reg: metrics.NewRegistry()}
+	s.jobs, s.campaigns = s.newKind(jobKind), s.newKind(campaignKind)
 
-	j := &job{id: "j-000001", created: time.Now(), done: make(chan struct{})}
+	j := &job{admitted: admitted{id: "j-000001", created: time.Now(), done: make(chan struct{})}}
 	j.state.Store(int32(stateDone))
 	// Evicted (not in the table): the save must be a no-op.
-	s.saveJobTerminal(j, recDone)
-	if _, err := os.Stat(st.jobPath(j.id)); !os.IsNotExist(err) {
+	s.saveTerminal(s.jobs, j, recDone)
+	if _, err := os.Stat(st.path(s.jobs, j.id)); !os.IsNotExist(err) {
 		t.Fatalf("terminal save recreated an evicted job record (stat: %v)", err)
 	}
 	// Live: the save lands.
-	s.jobs[j.id] = j
-	s.saveJobTerminal(j, recDone)
-	if _, err := os.Stat(st.jobPath(j.id)); err != nil {
+	s.jobs.entries[j.id] = j
+	s.saveTerminal(s.jobs, j, recDone)
+	if _, err := os.Stat(st.path(s.jobs, j.id)); err != nil {
 		t.Fatalf("terminal save skipped a live job: %v", err)
 	}
 
-	cr := &campaignRun{id: "c-000001", created: time.Now(), camp: &campaign.Campaign{}, done: make(chan struct{})}
+	cr := &campaignRun{admitted: admitted{id: "c-000001", created: time.Now(), done: make(chan struct{})}, camp: &campaign.Campaign{}}
 	cr.state.Store(int32(stateDone))
-	s.saveCampaignTerminal(cr, recDone)
-	if _, err := os.Stat(st.campaignPath(cr.id)); !os.IsNotExist(err) {
+	s.saveTerminal(s.campaigns, cr, recDone)
+	if _, err := os.Stat(st.path(s.campaigns, cr.id)); !os.IsNotExist(err) {
 		t.Fatalf("terminal save recreated an evicted campaign record (stat: %v)", err)
 	}
-	s.campaigns[cr.id] = cr
-	s.saveCampaignTerminal(cr, recDone)
-	if _, err := os.Stat(st.campaignPath(cr.id)); err != nil {
+	s.campaigns.entries[cr.id] = cr
+	s.saveTerminal(s.campaigns, cr, recDone)
+	if _, err := os.Stat(st.path(s.campaigns, cr.id)); err != nil {
 		t.Fatalf("terminal save skipped a live campaign: %v", err)
 	}
 }
