@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/arena"
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/metrics"
@@ -204,41 +205,7 @@ func (a *Arena) ShardFor(key string) int { return a.inner.ShardFor(key) }
 // quantities only, so the same workload yields the same captures
 // regardless of goroutine scheduling; call after the submissions of
 // interest have completed (typically after Close).
-func (a *Arena) Traces() []TraceInstance {
-	captures := a.inner.Traces()
-	if captures == nil {
-		return nil
-	}
-	out := make([]TraceInstance, len(captures))
-	for i, inst := range captures {
-		events := make([]TraceEvent, len(inst.Events))
-		for j, ev := range inst.Events {
-			events[j] = TraceEvent{
-				Time:  ev.Time,
-				Delay: ev.Delay,
-				Step:  ev.Step,
-				Proc:  ev.Proc,
-				Round: ev.Round,
-				Value: ev.Value,
-				Kind:  ev.Kind.String(),
-			}
-		}
-		out[i] = TraceInstance{
-			Key:        inst.Key,
-			Model:      inst.Model,
-			N:          inst.N,
-			Seed:       inst.Seed,
-			Err:        inst.Err,
-			FirstRound: inst.FirstRound,
-			LastRound:  inst.LastRound,
-			Ops:        inst.Ops,
-			SimTime:    inst.SimTime,
-			Dropped:    inst.Dropped,
-			Events:     events,
-		}
-	}
-	return out
-}
+func (a *Arena) Traces() []TraceInstance { return api.Traces(a.inner.Traces()) }
 
 // Stats snapshots the arena's aggregate counters.
 func (a *Arena) Stats() ArenaStats {

@@ -9,50 +9,17 @@ import (
 
 // CampaignSpec is the declarative form of an experiment campaign: run
 // Reps independent lean-consensus instances for every cell of the
-// cartesian grid Models × Dists × Ns × Seeds. Empty lists select
-// defaults (the default model, exponential noise, n=8, seed 1). Names
-// resolve through the same registries as every other entry point, so a
-// newly registered model or distribution is immediately sweepable.
+// cartesian grid Models × Dists × Adversaries × Ns × Seeds. Empty lists
+// select defaults (the default model, exponential noise, the zero
+// schedule, n=8, seed 1). Names resolve through the same registries as
+// every other entry point, so a newly registered model or distribution
+// is immediately sweepable. Correlation and Tenant are transport
+// metadata for Client.SubmitCampaign, never part of the grid.
 //
 // Campaigns are the paper's experiments turned into configuration: the
 // Figure 1 reproduction, for example, is a six-distribution grid (see
 // cmd/leansweep's built-in "fig1" spec) rather than a bespoke program.
-type CampaignSpec struct {
-	// Name labels the campaign in reports and checkpoint manifests.
-	Name string `json:"name,omitempty"`
-	// Models are execution-model names (see Backends). A model that
-	// ignores noise (hybrid) collapses the Dists axis to a single "none"
-	// cell per (n, seed).
-	Models []string `json:"models,omitempty"`
-	// Dists are noise-distribution names (see the dist registry).
-	Dists []string `json:"dists,omitempty"`
-	// Adversaries are adversarial-schedule names, optionally
-	// parameterized ("antileader:m=8"); empty selects the zero schedule.
-	// A model outside the adversary axis (msgnet) collapses the axis to a
-	// single "none" cell, exactly as noise-free models collapse Dists.
-	Adversaries []string `json:"adversaries,omitempty"`
-	// Ns are process counts per instance.
-	Ns []int `json:"ns,omitempty"`
-	// Seeds are cell seeds; each repetition's instance seed derives from
-	// its cell seed with the harness's Figure 1 per-trial mix, so
-	// campaign numbers reproduce harness numbers for the same seeds.
-	Seeds []uint64 `json:"seeds,omitempty"`
-	// Reps is the repetition count per cell.
-	Reps int `json:"reps"`
-	// Correlation, when non-empty, is sent as the X-Lean-Correlation
-	// header on Client.SubmitCampaign: the service stamps it as the
-	// Parent of the campaign's root journal events, chaining this
-	// submission into a correlation tree that spans processes. It is
-	// never part of the spec body (or the spec hash) — two submissions
-	// differing only in Correlation are the same campaign.
-	Correlation string `json:"-"`
-	// Tenant, when non-empty, is sent as the X-Lean-Tenant header on
-	// Client.SubmitCampaign: the service admits the grid under that
-	// tenant's fair share and labels its journal events. Like
-	// Correlation, it is transport metadata — never part of the spec body
-	// or the spec hash.
-	Tenant string `json:"-"`
-}
+type CampaignSpec = campaign.Spec
 
 // CampaignProgress reports a campaign's position to Campaign.OnProgress.
 type CampaignProgress struct {
@@ -72,70 +39,14 @@ type CampaignProgress struct {
 // CampaignCell is one completed grid cell's statistics. Every field is
 // deterministic: a pure function of (model, dist, adversary, n, seed,
 // reps).
-type CampaignCell struct {
-	Model     string `json:"model"`
-	Dist      string `json:"dist"`
-	Adversary string `json:"adversary"`
-	N         int    `json:"n"`
-	Seed      uint64 `json:"seed"`
-	Reps      int64  `json:"reps"`
-
-	Decided0            int64 `json:"decided0"`
-	Decided1            int64 `json:"decided1"`
-	Errors              int64 `json:"errors"`
-	AgreementViolations int64 `json:"agreementViolations"`
-	ValidityViolations  int64 `json:"validityViolations"`
-	Undecided           int64 `json:"undecided"`
-
-	MeanRound    float64 `json:"meanRound"`
-	RoundCI95    float64 `json:"roundCi95"`
-	MinRound     float64 `json:"minRound"`
-	MaxRound     float64 `json:"maxRound"`
-	P50Round     float64 `json:"p50Round"`
-	P90Round     float64 `json:"p90Round"`
-	P99Round     float64 `json:"p99Round"`
-	MaxLastRound int     `json:"maxLastRound"`
-
-	Ops            int64   `json:"ops"`
-	MeanOpsPerProc float64 `json:"meanOpsPerProc"`
-	SimTime        float64 `json:"simTime"`
-}
+type CampaignCell = campaign.CellReport
 
 // CampaignReport is a completed campaign: one row per grid cell, in grid
-// order. Reports are byte-identical across runs, pool shapes, and
-// interrupt/resume boundaries.
-type CampaignReport struct {
-	// Name and SpecHash identify the campaign; SpecHash is a content hash
-	// of the normalized spec, the key that binds checkpoints to grids.
-	Name     string `json:"name,omitempty"`
-	SpecHash string `json:"specHash"`
-	// Spec echoes the normalized spec (defaults applied, names
-	// canonicalized).
-	Spec CampaignSpec `json:"spec"`
-	// Cells holds the per-cell statistics.
-	Cells []CampaignCell `json:"cells"`
-}
-
-// CSV renders the report as comma-separated values at full float
-// precision.
-func (r *CampaignReport) CSV() string { return r.inner().CSV() }
-
-// JSON renders the report as indented JSON.
-func (r *CampaignReport) JSON() ([]byte, error) { return r.inner().JSON() }
-
-// inner rebuilds the internal report for the renderers.
-func (r *CampaignReport) inner() *campaign.Report {
-	rep := &campaign.Report{
-		Name:     r.Name,
-		SpecHash: r.SpecHash,
-		Spec:     specToInternal(r.Spec),
-		Cells:    make([]campaign.CellReport, len(r.Cells)),
-	}
-	for i, c := range r.Cells {
-		rep.Cells[i] = campaign.CellReport(c)
-	}
-	return rep
-}
+// order, with the normalized spec echoed and its content hash, the key
+// that binds checkpoints to grids. Reports are byte-identical across
+// runs, pool shapes, and interrupt/resume boundaries; CSV and JSON
+// render them.
+type CampaignReport = campaign.Report
 
 // Campaign is a configured experiment campaign. Fill the spec and the
 // runtime knobs, then Run it; the zero values of everything but Spec
@@ -173,51 +84,5 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignReport, error) {
 			c.OnProgress(CampaignProgress(p))
 		}
 	}
-	rep, err := campaign.Run(ctx, specToInternal(c.Spec), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromInternal(rep), nil
-}
-
-// specToInternal converts the public spec to the internal one.
-// Correlation is transport metadata, not part of the grid, so it does
-// not cross this boundary.
-func specToInternal(s CampaignSpec) campaign.Spec {
-	return campaign.Spec{
-		Name:        s.Name,
-		Models:      s.Models,
-		Dists:       s.Dists,
-		Adversaries: s.Adversaries,
-		Ns:          s.Ns,
-		Seeds:       s.Seeds,
-		Reps:        s.Reps,
-	}
-}
-
-// specFromInternal converts the internal spec to the public mirror.
-func specFromInternal(s campaign.Spec) CampaignSpec {
-	return CampaignSpec{
-		Name:        s.Name,
-		Models:      s.Models,
-		Dists:       s.Dists,
-		Adversaries: s.Adversaries,
-		Ns:          s.Ns,
-		Seeds:       s.Seeds,
-		Reps:        s.Reps,
-	}
-}
-
-// reportFromInternal converts the internal report to the public mirror.
-func reportFromInternal(rep *campaign.Report) *CampaignReport {
-	out := &CampaignReport{
-		Name:     rep.Name,
-		SpecHash: rep.SpecHash,
-		Spec:     specFromInternal(rep.Spec),
-		Cells:    make([]CampaignCell, len(rep.Cells)),
-	}
-	for i, c := range rep.Cells {
-		out.Cells[i] = CampaignCell(c)
-	}
-	return out
+	return campaign.Run(ctx, c.Spec, cfg)
 }

@@ -3,6 +3,7 @@ package leanconsensus_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,10 +22,17 @@ func TestCampaignPublicAPI(t *testing.T) {
 		Ns:    []int{4, 8},
 		Reps:  10,
 	}
+	// Correlation and Tenant are transport metadata: a spec carrying
+	// them is the same campaign, with the same body bytes.
+	tagged := spec
+	tagged.Correlation, tagged.Tenant = "c", "acme"
+	if plain, withMeta := mustJSON(t, spec), mustJSON(t, tagged); plain != withMeta {
+		t.Fatalf("transport metadata reached the body: %s", withMeta)
+	}
 
 	var cells int
 	c := &leanconsensus.Campaign{
-		Spec:   spec,
+		Spec:   tagged,
 		Shards: 2, Workers: 2,
 		OnProgress: func(p leanconsensus.CampaignProgress) {
 			cells++
@@ -45,6 +53,9 @@ func TestCampaignPublicAPI(t *testing.T) {
 	}
 	if rep.Spec.Models[0] != "sched" || rep.Spec.Seeds[0] != 1 {
 		t.Fatalf("normalized spec not echoed: %+v", rep.Spec)
+	}
+	if rep.Spec.Correlation != "" || rep.Spec.Tenant != "" {
+		t.Fatalf("transport metadata echoed in the report: %+v", rep.Spec)
 	}
 	for _, cell := range rep.Cells {
 		if cell.Errors != 0 || cell.Decided0+cell.Decided1 != cell.Reps {
@@ -88,4 +99,14 @@ func TestCampaignPublicAPI(t *testing.T) {
 	if first.CSV() != resumed.CSV() {
 		t.Fatal("resumed public report differs")
 	}
+}
+
+// mustJSON marshals v.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -14,14 +14,23 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"leanconsensus/internal/api"
+	"leanconsensus/internal/engine"
+	"leanconsensus/internal/obslog"
 )
+
+// This file is the typed Go client for the leanserve HTTP service
+// (internal/server, cmd/leanserve). Every body it sends or decodes is
+// declared once, in internal/api, and re-exported here under its public
+// name.
 
 // CorrelationHeader is the request header carrying a caller-chosen
 // correlation ID on POST /v1/jobs and /v1/campaigns. The service stamps
 // the value as the Parent of the admitted work's root journal events,
 // so a coordinator fanning work out across processes can reconstruct
 // the whole tree from the merged event streams.
-const CorrelationHeader = "X-Lean-Correlation"
+const CorrelationHeader = api.CorrelationHeader
 
 // TenantHeader is the request header naming the submitting tenant on
 // POST /v1/jobs and /v1/campaigns. Tenanted submissions are admitted
@@ -29,213 +38,72 @@ const CorrelationHeader = "X-Lean-Correlation"
 // guaranteed its share of the high-water mark even while another tenant
 // saturates the queue, and the tenant label rides on the work's journal
 // events and status bodies.
-const TenantHeader = "X-Lean-Tenant"
+const TenantHeader = api.TenantHeader
 
-// journalSeqHeader is the firehose response header announcing the
-// journal position a /v1/events stream starts after.
-const journalSeqHeader = "X-Lean-Journal-Seq"
+// MaxTraceK is the largest per-shard capture budget SubmitJobsTraced
+// may request.
+const MaxTraceK = api.MaxTraceK
 
-// This file is the typed Go client for the leanserve HTTP service
-// (internal/server, cmd/leanserve). The JSON shapes here mirror the
-// server's wire contract; the server's end-to-end tests drive the real
-// service through this client, so the two cannot drift silently.
-
-// Job lifecycle states reported by JobStatus.Status.
+// Job lifecycle states reported by JobStatus.Status (and
+// CampaignStatus.Status).
 const (
-	JobQueued  = "queued"
-	JobRunning = "running"
-	JobDone    = "done"
-	JobFailed  = "failed"
+	JobQueued  = api.StatusQueued
+	JobRunning = api.StatusRunning
+	JobDone    = api.StatusDone
+	JobFailed  = api.StatusFailed
 )
 
 // JobSpec describes one batched consensus job: Instances independent
 // lean-consensus instances of N processes each, run under the named
-// execution model and noise distribution, deterministically from Seed.
-// Zero values select server-side defaults; names resolve through the
-// server's registries (see Client.Models).
-type JobSpec struct {
-	Model   string `json:"model,omitempty"`
-	Variant string `json:"variant,omitempty"`
-	Dist    string `json:"dist,omitempty"`
-	// Adversary names an adversarial schedule, optionally parameterized
-	// ("antileader:m=8"); see Client.Adversaries for the registry. Models
-	// outside the adversary axis reject a named schedule with a 400.
-	Adversary string `json:"adversary,omitempty"`
-	N         int    `json:"n,omitempty"`
-	Seed      uint64 `json:"seed,omitempty"`
-	Instances int    `json:"instances"`
-	// Correlation, when non-empty, is sent as the X-Lean-Correlation
-	// header on submission (the batch uses the first non-empty value):
-	// the service stamps it as the Parent of the job's root journal
-	// events. It is transport metadata, never part of the request body.
-	Correlation string `json:"-"`
-	// Tenant, when non-empty, is sent as the X-Lean-Tenant header on
-	// submission (the batch uses the first non-empty value): the service
-	// admits the batch under that tenant's fair share and labels its
-	// journal events. Transport metadata, never part of the request body.
-	Tenant string `json:"-"`
-}
+// execution model, noise distribution and adversarial schedule,
+// deterministically from Seed. Zero values select server-side defaults;
+// names resolve through the server's registries (see Client.Models and
+// Client.Adversaries). Correlation and Tenant travel as request headers,
+// never in the body.
+type JobSpec = engine.JobSpec
 
 // JobStatus is one job's lifecycle state, live progress, and — once
 // finished — results.
-type JobStatus struct {
-	ID      string       `json:"id"`
-	Status  string       `json:"status"`
-	Created time.Time    `json:"created"`
-	Tenant  string       `json:"tenant,omitempty"`
-	Specs   []SpecStatus `json:"specs"`
-	Error   string       `json:"error,omitempty"`
-}
+type JobStatus = api.JobStatus
 
-// Finished reports whether the job reached a terminal state.
-func (s *JobStatus) Finished() bool { return s.Status == JobDone || s.Status == JobFailed }
-
-func (s *JobStatus) failure() error { return failure("job", s.ID, s.Status, s.Error) }
-
-// SpecStatus is one spec's progress within a job: Done of Instances
-// completed, broken down per arena shard, plus the final Result once the
-// spec has run.
-type SpecStatus struct {
-	Spec      JobSpec     `json:"spec"`
-	Instances int         `json:"instances"`
-	Done      int64       `json:"done"`
-	PerShard  []int64     `json:"perShard"`
-	Result    *SpecResult `json:"result,omitempty"`
-}
+// SpecStatus is one spec's progress within a job.
+type SpecStatus = api.SpecStatus
 
 // SpecResult aggregates one executed spec. All fields except ElapsedMS
 // and Throughput are pure functions of the spec and replay exactly.
-type SpecResult struct {
-	Model          string  `json:"model"`
-	Variant        string  `json:"variant"`
-	Dist           string  `json:"dist"`
-	Adversary      string  `json:"adversary"`
-	N              int     `json:"n"`
-	Seed           uint64  `json:"seed"`
-	Instances      int     `json:"instances"`
-	Decided0       int64   `json:"decided0"`
-	Decided1       int64   `json:"decided1"`
-	Errors         int64   `json:"errors"`
-	Ops            int64   `json:"ops"`
-	RoundSum       int64   `json:"roundSum"`
-	MeanFirstRound float64 `json:"meanFirstRound"`
-	MaxRound       int     `json:"maxRound"`
-	ElapsedMS      float64 `json:"elapsedMs"`
-	Throughput     float64 `json:"throughput"`
-}
+type SpecResult = api.SpecResult
 
 // Catalog lists what the service's registries accept in a JobSpec.
-type Catalog struct {
-	DefaultModel string        `json:"defaultModel"`
-	Models       []ModelInfo   `json:"models"`
-	Variants     []VariantInfo `json:"variants"`
-	Dists        []string      `json:"dists"`
-}
+type Catalog = api.Catalog
 
 // ModelInfo describes one registered execution model.
-type ModelInfo struct {
-	Name  string `json:"name"`
-	Brief string `json:"brief"`
-}
+type ModelInfo = api.ModelInfo
 
-// VariantInfo describes one registered algorithm variant; only servable
-// variants are accepted in job specs.
-type VariantInfo struct {
-	Name     string `json:"name"`
-	Servable bool   `json:"servable"`
-}
+// VariantInfo describes one registered algorithm variant.
+type VariantInfo = api.VariantInfo
 
-// AdversaryCatalog lists the service's registered adversarial schedules
-// (GET /v1/adversaries).
-type AdversaryCatalog struct {
-	DefaultAdversary string          `json:"defaultAdversary"`
-	Adversaries      []AdversaryInfo `json:"adversaries"`
-}
+// AdversaryCatalog lists the service's registered adversarial schedules.
+type AdversaryCatalog = api.AdversaryCatalog
 
-// AdversaryInfo describes one registered adversarial schedule: its
-// parameter schema (specs are written "name:param=value:param=value")
-// and the execution models that can run it.
-type AdversaryInfo struct {
-	Name      string           `json:"name"`
-	Canonical string           `json:"canonical"`
-	Brief     string           `json:"brief"`
-	Params    []AdversaryParam `json:"params,omitempty"`
-	Models    []string         `json:"models"`
-}
+// AdversaryInfo describes one registered adversarial schedule.
+type AdversaryInfo = api.AdversaryInfo
 
-// AdversaryParam is one named parameter of an adversarial schedule;
-// Integer parameters only accept whole values.
-type AdversaryParam struct {
-	Name    string  `json:"name"`
-	Default float64 `json:"default"`
-	Integer bool    `json:"integer,omitempty"`
-}
+// AdversaryParam is one named parameter of an adversarial schedule.
+type AdversaryParam = api.AdversaryParam
 
-// Health is the service's liveness report. Version and Revision identify
-// the build the service is running; QueueDepth counts jobs plus
-// campaigns admitted but still waiting for an execution slot, and
-// Goroutines and GCPauseP99Ms are process-level runtime vitals. Tenants
-// counts tenants with queued work at the admission gate. Node is
-// the journal node identity the service stamps on its events, and
-// JournalDropped counts events its persistence follower lost to ring
-// wraps — nonzero means the durable journal has sequence gaps.
-type Health struct {
-	Status          string  `json:"status"`
-	Version         string  `json:"version"`
-	Revision        string  `json:"revision"`
-	Node            string  `json:"node,omitempty"`
-	QueuedInstances int64   `json:"queuedInstances"`
-	Jobs            int     `json:"jobs"`
-	Campaigns       int     `json:"campaigns"`
-	QueueDepth      int     `json:"queueDepth"`
-	Tenants         int     `json:"tenants,omitempty"`
-	Goroutines      int     `json:"goroutines"`
-	GCPauseP99Ms    float64 `json:"gcPauseP99Ms"`
-	JournalDropped  uint64  `json:"journalDropped,omitempty"`
-}
+// Health is the service's liveness report.
+type Health = api.Health
 
-// Event is one operations-journal entry, mirroring the server's
-// internal/obslog wire shape. Kind is a wire-stable name: job.admit,
-// job.start, job.done, job.shed, campaign.start, campaign.cell.done,
-// campaign.checkpoint, campaign.resume, campaign.done, arena.drain, or
-// server.request. ID is the correlation ID of the entity the event is
-// about (job/campaign ID, cell key); Parent chains it to its owner —
-// a campaign's cells carry the campaign ID here — so a campaign's full
-// lifecycle tree reconstructs from the event stream alone.
-type Event struct {
-	Seq    uint64      `json:"seq"`
-	TS     int64       `json:"ts"` // Unix nanoseconds
-	Kind   string      `json:"kind"`
-	ID     string      `json:"id,omitempty"`
-	Parent string      `json:"parent,omitempty"`
-	Node   string      `json:"node,omitempty"` // emitting process's identity
-	Labels EventLabels `json:"labels"`
-}
+// Event is one operations-journal entry.
+type Event = api.Event
 
 // EventLabels carries an event's workload axes (model × dist ×
 // adversary × n, the paper's experiment coordinates) and kind-specific
 // Count/Detail payload.
-type EventLabels struct {
-	Model     string `json:"model,omitempty"`
-	Dist      string `json:"dist,omitempty"`
-	Adversary string `json:"adversary,omitempty"`
-	N         int    `json:"n,omitempty"`
-	Tenant    string `json:"tenant,omitempty"`
-	Count     int64  `json:"count,omitempty"`
-	Detail    string `json:"detail,omitempty"`
-}
+type EventLabels = obslog.Labels
 
-// EventPage is one journal replay window: events with Seq > the
-// requested position, oldest first, and the position to poll from next.
-// A gap between the requested position and Events[0].Seq means the
-// server's ring wrapped (or its retention trimmed) past this reader.
-// First is the oldest sequence number the service can still serve, from
-// its on-disk store when the journal is durable, else its ring.
-type EventPage struct {
-	Events []Event `json:"events"`
-	Next   uint64  `json:"next"`
-	First  uint64  `json:"first,omitempty"`
-}
+// EventPage is one journal replay window.
+type EventPage = api.EventPage
 
 // EventQuery selects journal events for Client.QueryEvents. The zero
 // value replays everything the service retains (up to the server's page
@@ -278,85 +146,33 @@ func (q *EventQuery) encode() string {
 	return v.Encode()
 }
 
-// TraceEvent is one flight-recorder event, mirroring the server's
-// internal/trace.Event wire shape. Which fields are meaningful depends
-// on Kind: "start" carries the adversary's start delay in Delay, "op"
-// the step delay and the value read or written, "round" the new round
-// with the leader in Value (-1 when the model has no global view),
-// "decide" the decided bit, "halt" a process death, and "preempt" the
-// incoming process in Value.
-type TraceEvent struct {
-	Time  float64 `json:"t"`
-	Delay float64 `json:"d"`
-	Step  int64   `json:"j"`
-	Proc  int32   `json:"p"`
-	Round int32   `json:"r"`
-	Value int32   `json:"v"`
-	Kind  string  `json:"k"`
-}
+// TraceEvent is one flight-recorder event.
+type TraceEvent = api.TraceEvent
 
-// TraceInstance is one captured execution: identifying fields, the
-// deterministic outcome summary, and the recorded event window (oldest
-// first). Re-running the same (model, key, n, seed, config) replays the
-// exact same events.
-type TraceInstance struct {
-	Key        string       `json:"key"`
-	Model      string       `json:"model"`
-	N          int          `json:"n"`
-	Seed       uint64       `json:"seed"`
-	Err        string       `json:"err,omitempty"`
-	FirstRound int          `json:"first_round"`
-	LastRound  int          `json:"last_round"`
-	Ops        int64        `json:"ops"`
-	SimTime    float64      `json:"sim_time"`
-	Dropped    int64        `json:"dropped"`
-	Events     []TraceEvent `json:"events"`
-}
+// TraceInstance is one captured execution.
+type TraceInstance = api.TraceInstance
 
-// JobTraces is the GET /v1/jobs/{id}/trace body: one capture block per
-// spec in submission order, most interesting captures first within each
-// block. Blocks are empty until the spec finishes, and stay empty when
-// the job was submitted without tracing (SubmitJobsTraced).
-type JobTraces struct {
-	ID     string      `json:"id"`
-	Status string      `json:"status"`
-	Specs  []SpecTrace `json:"specs"`
-}
+// JobTraces is the GET /v1/jobs/{id}/trace body.
+type JobTraces = api.JobTraces
 
 // SpecTrace is one spec's flight-recorder captures.
-type SpecTrace struct {
-	Spec  JobSpec         `json:"spec"`
-	Trace []TraceInstance `json:"trace,omitempty"`
-}
+type SpecTrace = api.SpecTrace
 
 // CampaignStatus is one campaign's lifecycle state, live progress, and —
 // once finished — its deterministic report.
-type CampaignStatus struct {
-	ID       string    `json:"id"`
-	Status   string    `json:"status"`
-	Created  time.Time `json:"created"`
-	Name     string    `json:"name,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
-	SpecHash string    `json:"specHash"`
+type CampaignStatus = api.CampaignStatus
 
-	CellsDone      int   `json:"cellsDone"`
-	CellsTotal     int   `json:"cellsTotal"`
-	InstancesDone  int64 `json:"instancesDone"`
-	InstancesTotal int64 `json:"instancesTotal"`
-
-	Error  string          `json:"error,omitempty"`
-	Report *CampaignReport `json:"report,omitempty"`
-}
-
-// Finished reports whether the campaign reached a terminal state.
-func (s *CampaignStatus) Finished() bool { return s.Status == JobDone || s.Status == JobFailed }
-
-func (s *CampaignStatus) failure() error { return failure("campaign", s.ID, s.Status, s.Error) }
-
-// failure maps a failed terminal status to an error.
-func failure(noun, id, status, msg string) error {
-	if status == JobFailed {
-		return fmt.Errorf("leanserve: %s %s failed: %s", noun, id, msg)
+// failure maps a failed terminal job or campaign status to an error.
+func failure(st any) error {
+	switch s := st.(type) {
+	case *JobStatus:
+		if s.Status == JobFailed {
+			return fmt.Errorf("leanserve: job %s failed: %s", s.ID, s.Error)
+		}
+	case *CampaignStatus:
+		if s.Status == JobFailed {
+			return fmt.Errorf("leanserve: campaign %s failed: %s", s.ID, s.Error)
+		}
 	}
 	return nil
 }
@@ -437,12 +253,10 @@ func get[T any](ctx context.Context, c *Client, path string, also ...int) (*T, e
 	return &v, nil
 }
 
-// polled is what the wait and stream loops need of a job or campaign
-// status.
+// polled is what the wait loop needs of a job or campaign status.
 type polled[S any] interface {
 	*S
 	Finished() bool
-	failure() error
 }
 
 // wait polls path until the status it serves is terminal or ctx
@@ -459,7 +273,7 @@ func wait[S any, P polled[S]](ctx context.Context, c *Client, path string) (*S, 
 			return nil, err
 		}
 		if P(st).Finished() {
-			return st, P(st).failure()
+			return st, failure(st)
 		}
 		select {
 		case <-ctx.Done():
@@ -474,7 +288,7 @@ func wait[S any, P polled[S]](ctx context.Context, c *Client, path string) (*S, 
 // carried by the terminal "done" event — with a non-nil error when it is
 // a failure. A stream that ends without "done" (the service handed the
 // unfinished work to its successor) is an error.
-func stream[S any, P polled[S]](ctx context.Context, c *Client, path string, fn func(S)) (*S, error) {
+func stream[S any](ctx context.Context, c *Client, path string, fn func(S)) (*S, error) {
 	var final *S
 	err := c.streamEvents(ctx, path, nil, func(event string, data []byte) (bool, error) {
 		var st S
@@ -493,14 +307,12 @@ func stream[S any, P polled[S]](ctx context.Context, c *Client, path string, fn 
 	if err != nil {
 		return nil, err
 	}
-	return final, P(final).failure()
+	return final, failure(final)
 }
 
 // responseError converts a non-2xx response into a typed error.
 func responseError(resp *http.Response) error {
-	var body struct {
-		Error string `json:"error"`
-	}
+	var body api.ErrorBody
 	msg := resp.Status
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err == nil && body.Error != "" {
 		msg = body.Error
@@ -527,8 +339,7 @@ func (c *Client) SubmitJobs(ctx context.Context, specs ...JobSpec) (string, erro
 // tracing armed: the service captures the traceK most interesting
 // instances per arena shard (violations first, then the deepest rounds)
 // for each spec, retrievable with JobTrace once the job runs. traceK
-// must be within the service's budget cap (64); 0 degrades to an
-// untraced SubmitJobs.
+// must be within [0, MaxTraceK]; 0 degrades to an untraced SubmitJobs.
 func (c *Client) SubmitJobsTraced(ctx context.Context, traceK int, specs ...JobSpec) (string, error) {
 	var corr, tenant string
 	for _, spec := range specs {
@@ -539,10 +350,7 @@ func (c *Client) SubmitJobsTraced(ctx context.Context, traceK int, specs ...JobS
 			tenant = spec.Tenant
 		}
 	}
-	return c.submit(ctx, "/v1/jobs", struct {
-		Jobs  []JobSpec `json:"jobs"`
-		Trace int       `json:"trace,omitempty"`
-	}{Jobs: specs, Trace: traceK}, corr, tenant)
+	return c.submit(ctx, "/v1/jobs", api.SubmitRequest{Jobs: specs, Trace: traceK}, corr, tenant)
 }
 
 // submit POSTs one JSON submission, with the correlation and tenant
@@ -563,9 +371,7 @@ func (c *Client) submit(ctx context.Context, path string, v any, corr, tenant st
 	if tenant != "" {
 		req.Header.Set(TenantHeader, tenant)
 	}
-	var out struct {
-		ID string `json:"id"`
-	}
+	var out api.Accepted
 	if err := c.do(req, &out); err != nil {
 		return "", err
 	}
@@ -743,7 +549,7 @@ func (c *Client) StreamEvents(ctx context.Context, fn func(Event)) error {
 		if seen {
 			return
 		}
-		if pos, err := strconv.ParseUint(h.Get(journalSeqHeader), 10, 64); err == nil {
+		if pos, err := strconv.ParseUint(h.Get(api.JournalSeqHeader), 10, 64); err == nil {
 			last, seen = pos, true
 		}
 	}

@@ -177,6 +177,9 @@ func FuzzCampaignSpecDecode(f *testing.F) {
 	f.Add(`{"adversaries":["antileader:m="],"reps":1}`)
 	f.Add(`{"adversaries":["antileader","anti-leader:m=1"],"reps":1}`)
 	f.Add(`{"adversaries":["bogus"],"reps":1}`)
+	f.Add(`{"reps":1,"correlation":"c"}`)
+	f.Add(`{"reps":1,"tenant":"acme"}`)
+	f.Add(`{"reps":1,"Correlation":"c"}`)
 	// An oversized adversary axis (70 × 70 seeds > 4096 cells) must come
 	// back as the typed *LimitError, never an attempt at the grid.
 	f.Add(oversizedAdversaryAxis())

@@ -84,6 +84,16 @@ type Spec struct {
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Reps is the number of repetitions (independent instances) per cell.
 	Reps int `json:"reps"`
+	// Correlation, when non-empty, is sent as the X-Lean-Correlation
+	// header on submission: the service stamps it as the Parent of the
+	// campaign's root journal events. Tenant, likewise, is sent as the
+	// X-Lean-Tenant header: the service admits the grid under that
+	// tenant's fair share. Both are transport metadata: normalization
+	// clears them, so they never reach a body, the spec hash, a
+	// checkpoint or a report, and two submissions differing only in them
+	// are the same campaign.
+	Correlation string `json:"-"`
+	Tenant      string `json:"-"`
 }
 
 // normalized returns the spec with defaults applied and registry names
@@ -91,6 +101,7 @@ type Spec struct {
 // reports. Unknown names fail here with the registry's error.
 func (s Spec) normalized() (Spec, error) {
 	out := s
+	out.Correlation, out.Tenant = "", ""
 	if len(out.Models) == 0 {
 		out.Models = []string{engine.DefaultModel}
 	}

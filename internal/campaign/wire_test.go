@@ -20,6 +20,16 @@ func TestDecodeSpec(t *testing.T) {
 	if c.Hash == "" || len(c.Hash) != 64 {
 		t.Fatalf("bad spec hash %q", c.Hash)
 	}
+	// Transport metadata never reaches the hash or the normalized spec.
+	tagged := c.Spec
+	tagged.Correlation, tagged.Tenant = "c", "acme"
+	again, err := tagged.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Hash != c.Hash || again.Spec.Correlation != "" || again.Spec.Tenant != "" {
+		t.Fatalf("transport metadata leaked: hash %s vs %s, spec %+v", again.Hash, c.Hash, again.Spec)
+	}
 }
 
 func TestDecodeSpecDefaults(t *testing.T) {
@@ -49,6 +59,9 @@ func TestDecodeSpecRejects(t *testing.T) {
 		`{"reps":1,"ns":[-4]}`,
 		`{"reps":1,"dists":["none"]}`, // "none" is only for noise-free models
 		`{"reps":1,"models":["hybrid"],"ns":[0],"dists":["exponential"],"seeds":[1],"reps":1,"extra":1}`,
+		`{"reps":1,"correlation":"c"}`, // transport metadata is never a body key
+		`{"reps":1,"tenant":"acme"}`,
+		`{"reps":1,"Correlation":"c"}`,
 	} {
 		if _, err := campaign.DecodeSpec(strings.NewReader(body)); err == nil {
 			t.Errorf("accepted %q", body)

@@ -52,6 +52,16 @@ type JobSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Instances is the number of independent consensus instances to run.
 	Instances int `json:"instances"`
+	// Correlation, when non-empty, is sent as the X-Lean-Correlation
+	// header on submission (a batch uses its first non-empty value): the
+	// service stamps it as the Parent of the job's root journal events.
+	// It is transport metadata, never part of a body.
+	Correlation string `json:"-"`
+	// Tenant, when non-empty, is sent as the X-Lean-Tenant header on
+	// submission (a batch uses its first non-empty value): the service
+	// admits the batch under that tenant's fair share and labels its
+	// journal events. Transport metadata, never part of a body.
+	Tenant string `json:"-"`
 }
 
 // Job is a resolved, validated JobSpec: every name has been looked up in

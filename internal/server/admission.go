@@ -8,17 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/metrics"
 )
-
-// TenantHeader is the optional request header that buckets a
-// submission's admission accounting: every reservation made under a
-// tenant counts against that tenant's share of the high-water mark, the
-// tenant label rides the work's journal events and status bodies, and
-// leanconsensus_tenant_queued_instances{tenant=...} shows who owns the
-// backlog. Absent header means the unnamed default bucket, which
-// behaves exactly like the pre-tenant admission gate.
-const TenantHeader = "X-Lean-Tenant"
 
 // maxTenantLen bounds the accepted tenant name; like correlation IDs,
 // anything longer (or containing control characters) is a 400, not a
@@ -37,18 +29,24 @@ const DefaultTenantShare = 0.5
 const DefaultMaxTenants = 64
 
 // tenantFrom extracts and validates the X-Lean-Tenant header: empty
-// when absent, a 400-worthy error when malformed.
+// when absent, a 400-worthy error when malformed. The tenant buckets a
+// submission's admission accounting: every reservation made under it
+// counts against that tenant's share of the high-water mark, the label
+// rides the work's journal events and status bodies, and
+// leanconsensus_tenant_queued_instances{tenant=...} shows who owns the
+// backlog. An absent header means the unnamed default bucket, which
+// behaves exactly like the pre-tenant admission gate.
 func tenantFrom(r *http.Request) (string, error) {
-	v := strings.TrimSpace(r.Header.Get(TenantHeader))
+	v := strings.TrimSpace(r.Header.Get(api.TenantHeader))
 	if v == "" {
 		return "", nil
 	}
 	if len(v) > maxTenantLen {
-		return "", fmt.Errorf("server: %s longer than %d bytes", TenantHeader, maxTenantLen)
+		return "", fmt.Errorf("server: %s longer than %d bytes", api.TenantHeader, maxTenantLen)
 	}
 	for _, c := range v {
 		if c < 0x20 || c == 0x7f {
-			return "", fmt.Errorf("server: %s contains control characters", TenantHeader)
+			return "", fmt.Errorf("server: %s contains control characters", api.TenantHeader)
 		}
 	}
 	return v, nil

@@ -5,32 +5,11 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/campaign"
 	"leanconsensus/internal/obslog"
 )
-
-// CampaignStatus is the GET /v1/campaigns/{id} body and the campaign SSE
-// event payload. Report appears once the campaign is done; everything in
-// it is deterministic, so two services running the same spec serve
-// byte-identical reports.
-type CampaignStatus struct {
-	ID       string    `json:"id"`
-	Status   string    `json:"status"` // queued | running | done | failed
-	Created  time.Time `json:"created"`
-	Name     string    `json:"name,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
-	SpecHash string    `json:"specHash"`
-
-	CellsDone      int   `json:"cellsDone"`
-	CellsTotal     int   `json:"cellsTotal"`
-	InstancesDone  int64 `json:"instancesDone"`
-	InstancesTotal int64 `json:"instancesTotal"`
-
-	Error  string           `json:"error,omitempty"`
-	Report *campaign.Report `json:"report,omitempty"`
-}
 
 // campaignRun is one admitted campaign's execution state. Progress
 // fields are atomics written by the runner's serial callbacks and read
@@ -82,7 +61,7 @@ func (cr *campaignRun) admitLabels() obslog.Labels {
 
 // snapshot assembles the wire status from the live counters.
 func (cr *campaignRun) snapshot() any {
-	st := CampaignStatus{
+	st := api.CampaignStatus{
 		ID:             cr.id,
 		Status:         cr.statusName(),
 		Created:        cr.created,

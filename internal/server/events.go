@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/obslog"
 )
 
@@ -241,7 +242,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	// The position, so a client whose stream drops before its first
 	// event can still resume with ?since= instead of losing the gap.
-	h.Set(JournalSeqHeader, strconv.FormatUint(pos, 10))
+	h.Set(api.JournalSeqHeader, strconv.FormatUint(pos, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	if s.afterEventsFlush != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/obslog"
 )
 
@@ -50,9 +51,9 @@ func TestEventsFirehoseSubscribesBeforeHeaders(t *testing.T) {
 	defer resp.Body.Close()
 	<-parked
 
-	tip, err := strconv.ParseUint(resp.Header.Get(JournalSeqHeader), 10, 64)
+	tip, err := strconv.ParseUint(resp.Header.Get(api.JournalSeqHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("%s header: %v", JournalSeqHeader, err)
+		t.Fatalf("%s header: %v", api.JournalSeqHeader, err)
 	}
 	s.journal.Append(obslog.KindJobAdmit, "j-parked", "", obslog.Labels{})
 	close(resume)

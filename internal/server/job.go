@@ -9,10 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/arena"
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/obslog"
-	"leanconsensus/internal/trace"
 	"leanconsensus/internal/xrand"
 )
 
@@ -28,8 +28,8 @@ type specRun struct {
 	perShard []atomic.Int64
 
 	mu     sync.Mutex
-	result *SpecResult
-	traces []trace.Instance
+	result *api.SpecResult
+	traces []api.TraceInstance
 }
 
 // job is one admitted batch.
@@ -109,16 +109,16 @@ func (j *job) admitLabels() obslog.Labels {
 
 // snapshot assembles the wire status from the live counters.
 func (j *job) snapshot() any {
-	st := JobStatus{
+	st := api.JobStatus{
 		ID:      j.id,
 		Status:  j.statusName(),
 		Created: j.created,
 		Tenant:  j.tenant,
-		Specs:   make([]SpecStatus, len(j.specs)),
+		Specs:   make([]api.SpecStatus, len(j.specs)),
 		Error:   j.errText(),
 	}
 	for i, sr := range j.specs {
-		ss := SpecStatus{
+		ss := api.SpecStatus{
 			Spec:      sr.spec,
 			Instances: sr.job.Instances,
 			Done:      sr.done.Load(),
@@ -199,7 +199,7 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 		return fmt.Errorf("server: job spec (model=%s): %v", jb.ModelName, err)
 	}
 
-	res := SpecResult{
+	res := api.SpecResult{
 		Model:     jb.ModelName,
 		Variant:   jb.VariantName,
 		Dist:      jb.DistName,
@@ -246,7 +246,7 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 	sr.mu.Lock()
 	sr.result = &res
 	if tc != nil {
-		sr.traces = a.Traces()
+		sr.traces = api.Traces(a.Traces())
 	}
 	sr.mu.Unlock()
 	return nil
@@ -255,14 +255,14 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 // traceSnapshot assembles the GET /v1/jobs/{id}/trace body. Captures are
 // stored once per spec when its arena closes; an unfinished spec simply
 // contributes an empty block.
-func (j *job) traceSnapshot() JobTrace {
-	jt := JobTrace{
+func (j *job) traceSnapshot() api.JobTraces {
+	jt := api.JobTraces{
 		ID:     j.id,
 		Status: j.statusName(),
-		Specs:  make([]SpecTrace, len(j.specs)),
+		Specs:  make([]api.SpecTrace, len(j.specs)),
 	}
 	for i, sr := range j.specs {
-		st := SpecTrace{Spec: sr.spec}
+		st := api.SpecTrace{Spec: sr.spec}
 		sr.mu.Lock()
 		st.Trace = sr.traces
 		sr.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/arena"
 	"leanconsensus/internal/obslog"
 	"leanconsensus/internal/xrand"
@@ -16,7 +17,7 @@ import (
 // job path ran before derived batches: one a.Submit per instance, keys
 // fmt.Sprintf("key-%08d", i), bits from the seed's "load" stream.
 type specReference struct {
-	result   SpecResult // deterministic fields only
+	result   api.SpecResult // deterministic fields only
 	perShard []int64
 	traces   []byte // JSON of the arena's trace captures
 	drain    int64  // the arena.drain event's proposal count
@@ -38,7 +39,7 @@ func submitReference(t *testing.T, batch *Batch, shards, workers int) specRefere
 		t.Fatal(err)
 	}
 	ref := specReference{
-		result: SpecResult{
+		result: api.SpecResult{
 			Model: jb.ModelName, Variant: jb.VariantName, Dist: jb.DistName, Adversary: jb.AdvName,
 			N: jb.N, Seed: jb.Seed, Instances: jb.Instances,
 		},

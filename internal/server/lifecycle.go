@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/metrics"
 	"leanconsensus/internal/obslog"
 )
@@ -39,13 +40,13 @@ const (
 func (s workState) name() string {
 	switch s {
 	case stateQueued:
-		return "queued"
+		return api.StatusQueued
 	case stateRunning:
-		return "running"
+		return api.StatusRunning
 	case stateDone:
-		return "done"
+		return api.StatusDone
 	default:
-		return "failed"
+		return api.StatusFailed
 	}
 }
 
@@ -262,7 +263,7 @@ func (s *Server) handleSubmit(k *kind) http.HandlerFunc {
 
 		loc := "/v1/" + k.dir + "/" + h.id
 		w.Header().Set("Location", loc)
-		writeJSON(w, http.StatusAccepted, submitResponse{
+		writeJSON(w, http.StatusAccepted, api.Accepted{
 			ID:              h.id,
 			Status:          h.statusName(),
 			Location:        loc,

@@ -37,29 +37,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/arena"
 	"leanconsensus/internal/buildinfo"
 	"leanconsensus/internal/campaign"
+	"leanconsensus/internal/dist"
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/metrics"
 	"leanconsensus/internal/obslog"
 	"leanconsensus/internal/obslog/store"
 )
-
-// CorrelationHeader is the request header a coordinating process sets
-// on POST /v1/jobs and POST /v1/campaigns to chain the admitted work's
-// journal events to its own correlation ID. This is the cross-process
-// half of the correlation story: a future distributed-campaign
-// coordinator mints c-%06d, stamps it here, and every worker-side
-// job/cell event parents into it — reconstructible from the merged
-// event streams alone, exactly as single-process trees are today.
-const CorrelationHeader = "X-Lean-Correlation"
-
-// JournalSeqHeader carries, on the /v1/events SSE firehose response, the
-// journal position the stream starts after: every event with a larger
-// sequence number is delivered. A client whose stream drops before any
-// event arrived resumes from it with ?since=.
-const JournalSeqHeader = "X-Lean-Journal-Seq"
 
 // maxCorrelationLen bounds the accepted header value; anything longer
 // (or containing control characters) is a 400, not a silent trim —
@@ -441,11 +428,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -457,23 +439,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError writes the JSON error envelope.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, status, api.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // correlationFrom extracts and validates the X-Lean-Correlation header:
 // empty when absent, a 400-worthy error when malformed. The value
-// becomes the Parent of the admitted work's root journal events.
+// becomes the Parent of the admitted work's root journal events, which
+// is how a coordinating process chains the work it fans out here into
+// its own correlation tree.
 func correlationFrom(r *http.Request) (string, error) {
-	v := strings.TrimSpace(r.Header.Get(CorrelationHeader))
+	v := strings.TrimSpace(r.Header.Get(api.CorrelationHeader))
 	if v == "" {
 		return "", nil
 	}
 	if len(v) > maxCorrelationLen {
-		return "", fmt.Errorf("server: %s longer than %d bytes", CorrelationHeader, maxCorrelationLen)
+		return "", fmt.Errorf("server: %s longer than %d bytes", api.CorrelationHeader, maxCorrelationLen)
 	}
 	for _, c := range v {
 		if c < 0x20 || c == 0x7f {
-			return "", fmt.Errorf("server: %s contains control characters", CorrelationHeader)
+			return "", fmt.Errorf("server: %s contains control characters", api.CorrelationHeader)
 		}
 	}
 	return v, nil
@@ -491,18 +475,15 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // handleModels lists the three registries the wire spec resolves
 // against.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	resp := modelsResponse{DefaultModel: engine.DefaultModel}
+	resp := api.Catalog{DefaultModel: engine.DefaultModel, Dists: dist.Names()}
 	for _, info := range engine.List() {
-		resp.Models = append(resp.Models, modelInfo{Name: info.Name, Brief: info.Brief})
+		resp.Models = append(resp.Models, api.ModelInfo{Name: info.Name, Brief: info.Brief})
 	}
 	for _, name := range engine.VariantNames() {
-		resp.Variants = append(resp.Variants, variantInfo{
+		resp.Variants = append(resp.Variants, api.VariantInfo{
 			Name:     name,
 			Servable: name == engine.ServableVariant,
 		})
-	}
-	for _, name := range distNames() {
-		resp.Dists = append(resp.Dists, name)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -511,16 +492,16 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // adversary axis: names, parameter schemas with defaults, and the models
 // each schedule can run under.
 func (s *Server) handleAdversaries(w http.ResponseWriter, r *http.Request) {
-	resp := adversariesResponse{DefaultAdversary: engine.DefaultAdversary}
+	resp := api.AdversaryCatalog{DefaultAdversary: engine.DefaultAdversary}
 	for _, info := range engine.AdversaryList() {
-		ai := adversaryInfo{
+		ai := api.AdversaryInfo{
 			Name:      info.Name,
 			Canonical: info.Canonical,
 			Brief:     info.Brief,
 			Models:    info.Models,
 		}
 		for _, p := range info.Params {
-			ai.Params = append(ai.Params, adversaryParam{Name: p.Name, Default: p.Default, Integer: p.Integer})
+			ai.Params = append(ai.Params, api.AdversaryParam{Name: p.Name, Default: p.Default, Integer: p.Integer})
 		}
 		resp.Adversaries = append(resp.Adversaries, ai)
 	}
@@ -559,7 +540,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	bi := buildinfo.Read()
-	writeJSON(w, code, healthResponse{
+	writeJSON(w, code, api.Health{
 		Status:          status,
 		Version:         bi.Version,
 		Revision:        bi.Revision,

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -363,7 +364,24 @@ func TestDecodeSubmit(t *testing.T) {
 	if len(b.Jobs) != 1 || b.Jobs[0].N != 4 || b.Jobs[0].DistName != "uniform" {
 		t.Fatalf("decoded %+v", b.Jobs)
 	}
-	if _, err := server.DecodeSubmit(strings.NewReader(`{"jobs":[{"instances":0}]}`), 8); err == nil {
-		t.Fatal("zero instances decoded without error")
+	for _, body := range []string{
+		`{"jobs":[{"instances":0}]}`,
+		// Correlation and tenant travel as headers, never in a body.
+		`{"jobs":[{"instances":1,"correlation":"c"}]}`,
+		`{"jobs":[{"instances":1,"tenant":"acme"}]}`,
+		`{"jobs":[{"instances":1,"Correlation":"c"}]}`,
+	} {
+		if _, err := server.DecodeSubmit(strings.NewReader(body), 8); err == nil {
+			t.Errorf("%s decoded without error", body)
+		}
+	}
+	// Setting them leaves the request body's bytes unchanged.
+	spec := leanconsensus.JobSpec{Model: "sched", N: 4, Seed: 3, Instances: 10}
+	tagged := spec
+	tagged.Correlation, tagged.Tenant = "c", "acme"
+	plain, _ := json.Marshal(spec)
+	withMeta, _ := json.Marshal(tagged)
+	if string(withMeta) != string(plain) {
+		t.Errorf("transport metadata reached the body: %s", withMeta)
 	}
 }

@@ -4,164 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
-	"leanconsensus/internal/dist"
+	"leanconsensus/internal/api"
 	"leanconsensus/internal/engine"
-	"leanconsensus/internal/trace"
 )
 
-// The JSON wire contract. The root package's Client mirrors these
-// shapes; the end-to-end tests drive the real server through that
-// client, so the two cannot drift silently.
-
-// submitRequest is the POST /v1/jobs body. Trace, when positive, arms
-// flight-recorder capture on every spec's arena: the K most interesting
-// instances per shard (violations first, then deepest rounds) become
-// retrievable at GET /v1/jobs/{id}/trace once the job finishes.
-type submitRequest struct {
-	Jobs  []engine.JobSpec `json:"jobs"`
-	Trace int              `json:"trace,omitempty"`
-}
-
-// MaxTraceK caps the per-shard capture budget a client may request; full
-// event rings for every capture are held in memory until the job is
-// evicted, so the cap bounds the server's exposure.
-const MaxTraceK = 64
-
-// submitResponse is the 202 body.
-type submitResponse struct {
-	ID              string `json:"id"`
-	Status          string `json:"status"`
-	Location        string `json:"location"`
-	QueuedInstances int64  `json:"queuedInstances"`
-}
-
-// JobStatus is the GET /v1/jobs/{id} body and the SSE event payload.
-type JobStatus struct {
-	ID      string       `json:"id"`
-	Status  string       `json:"status"` // queued | running | done | failed
-	Created time.Time    `json:"created"`
-	Tenant  string       `json:"tenant,omitempty"`
-	Specs   []SpecStatus `json:"specs"`
-	Error   string       `json:"error,omitempty"`
-}
-
-// SpecStatus is one spec's live progress and, once finished, result.
-type SpecStatus struct {
-	Spec      engine.JobSpec `json:"spec"`
-	Instances int            `json:"instances"`
-	Done      int64          `json:"done"`
-	PerShard  []int64        `json:"perShard"`
-	Result    *SpecResult    `json:"result,omitempty"`
-}
-
-// SpecResult aggregates one executed spec. Every field except the
-// wall-clock ones (ElapsedMS, Throughput) is a pure function of the
-// spec — byte-identical across replays, and matching what cmd/leanarena
-// reports for the same shape, since the server derives the workload from
-// the same seed streams.
-type SpecResult struct {
-	Model          string  `json:"model"`
-	Variant        string  `json:"variant"`
-	Dist           string  `json:"dist"`
-	Adversary      string  `json:"adversary"`
-	N              int     `json:"n"`
-	Seed           uint64  `json:"seed"`
-	Instances      int     `json:"instances"`
-	Decided0       int64   `json:"decided0"`
-	Decided1       int64   `json:"decided1"`
-	Errors         int64   `json:"errors"`
-	Ops            int64   `json:"ops"`
-	RoundSum       int64   `json:"roundSum"`
-	MeanFirstRound float64 `json:"meanFirstRound"`
-	MaxRound       int     `json:"maxRound"`
-	ElapsedMS      float64 `json:"elapsedMs"`
-	Throughput     float64 `json:"throughput"`
-}
-
-// modelsResponse is the GET /v1/models body.
-type modelsResponse struct {
-	DefaultModel string        `json:"defaultModel"`
-	Models       []modelInfo   `json:"models"`
-	Variants     []variantInfo `json:"variants"`
-	Dists        []string      `json:"dists"`
-}
-
-type modelInfo struct {
-	Name  string `json:"name"`
-	Brief string `json:"brief"`
-}
-
-type variantInfo struct {
-	Name     string `json:"name"`
-	Servable bool   `json:"servable"`
-}
-
-// adversariesResponse is the GET /v1/adversaries body: the registered
-// adversarial schedules, their parameter schemas, and which execution
-// models can run each.
-type adversariesResponse struct {
-	DefaultAdversary string          `json:"defaultAdversary"`
-	Adversaries      []adversaryInfo `json:"adversaries"`
-}
-
-type adversaryInfo struct {
-	Name      string           `json:"name"`
-	Canonical string           `json:"canonical"`
-	Brief     string           `json:"brief"`
-	Params    []adversaryParam `json:"params,omitempty"`
-	Models    []string         `json:"models"`
-}
-
-type adversaryParam struct {
-	Name    string  `json:"name"`
-	Default float64 `json:"default"`
-	Integer bool    `json:"integer,omitempty"`
-}
-
-// JobTrace is the GET /v1/jobs/{id}/trace body: the flight-recorder
-// captures of a traced job, one block per spec in submission order.
-// Specs is empty until the job finishes (captures are selected when each
-// spec's arena closes), and every Trace block is empty when the job was
-// submitted without the trace option.
-type JobTrace struct {
-	ID     string      `json:"id"`
-	Status string      `json:"status"`
-	Specs  []SpecTrace `json:"specs"`
-}
-
-// SpecTrace is one spec's captures, most interesting first.
-type SpecTrace struct {
-	Spec  engine.JobSpec   `json:"spec"`
-	Trace []trace.Instance `json:"trace,omitempty"`
-}
-
-// healthResponse is the GET /healthz body. Jobs and Campaigns count live
-// (queued or running) work only; Version and Revision identify the
-// running build (internal/buildinfo). QueueDepth counts jobs plus
-// campaigns admitted but still waiting for an execution slot;
-// Goroutines and GCPauseP99Ms are process-level runtime vitals. Node is
-// the journal node identity stamped on this process's events, and
-// JournalDropped counts events the persistence follower lost to ring
-// wraps — nonzero means the on-disk journal has sequence gaps.
-type healthResponse struct {
-	Status          string  `json:"status"`
-	Version         string  `json:"version"`
-	Revision        string  `json:"revision"`
-	Node            string  `json:"node,omitempty"`
-	QueuedInstances int64   `json:"queuedInstances"`
-	Jobs            int     `json:"jobs"`
-	Campaigns       int     `json:"campaigns"`
-	QueueDepth      int     `json:"queueDepth"`
-	Tenants         int     `json:"tenants,omitempty"`
-	Goroutines      int     `json:"goroutines"`
-	GCPauseP99Ms    float64 `json:"gcPauseP99Ms"`
-	JournalDropped  uint64  `json:"journalDropped,omitempty"`
-}
-
-// distNames lists the registered distribution names.
-func distNames() []string { return dist.Names() }
+// MaxTraceK caps the per-shard capture budget a submission may request.
+const MaxTraceK = api.MaxTraceK
 
 // Batch is a decoded, fully validated POST /v1/jobs body: the raw specs
 // side by side with their resolved jobs, plus the requested per-shard
@@ -180,7 +29,7 @@ type Batch struct {
 func DecodeSubmit(r io.Reader, maxBatch int) (*Batch, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var req submitRequest
+	var req api.SubmitRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("server: bad request body: %v", err)
 	}
