@@ -322,8 +322,10 @@ var probes = []struct {
 	name string
 	run  func(sc harness.Scale) (Bench, error)
 }{
-	{"engine/sched", probeEngine("sched", 8, 2000, 20000, 100000)},
-	{"engine/msgnet", probeEngine("msgnet", 4, 300, 3000, 10000)},
+	{"engine/sched", probeEngine("sched", 8, false, 2000, 20000, 100000)},
+	{"engine/msgnet", probeEngine("msgnet", 4, false, 300, 3000, 10000)},
+	{"engine/sched/pooled", probeEngine("sched", 8, true, 2000, 20000, 100000)},
+	{"engine/msgnet/pooled", probeEngine("msgnet", 8, true, 200, 2000, 10000)},
 	{"arena/throughput", probeArena(nil, 4000, 40000, 200000)},
 	{"arena/traced", probeArena(&arena.TraceConfig{PerShard: 2}, 4000, 40000, 200000)},
 	{"campaign/sweep", probeCampaign},
@@ -380,12 +382,19 @@ func round(v float64, digits int) float64 {
 
 // probeEngine runs one execution model back to back through the
 // engine's registry: op = one consensus instance, latency = its
-// wall-clock run time.
-func probeEngine(model string, n, bench, def, full int) func(harness.Scale) (Bench, error) {
+// wall-clock run time. pooled runs every instance on one
+// engine.NewSession, the path arena workers and campaign cells take;
+// otherwise each run builds its state afresh, as the first probes of the
+// trajectory did.
+func probeEngine(model string, n int, pooled bool, bench, def, full int) func(harness.Scale) (Bench, error) {
 	return func(sc harness.Scale) (Bench, error) {
 		m, err := engine.ByName(model)
 		if err != nil {
 			return Bench{}, err
+		}
+		var sess *engine.Session
+		if pooled {
+			sess = engine.NewSession()
 		}
 		ops := opsFor(sc, bench, def, full)
 		inputs := harness.HalfInputs(n)
@@ -399,7 +408,7 @@ func probeEngine(model string, n, bench, def, full int) func(harness.Scale) (Ben
 					Inputs: inputs,
 					Noise:  noise,
 					Seed:   uint64(i + 1),
-				}, nil); err != nil {
+				}, sess); err != nil {
 					return err
 				}
 				h.Observe(time.Since(t0).Seconds())

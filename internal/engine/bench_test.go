@@ -9,18 +9,44 @@ import (
 )
 
 // TestMsgnetPooledAllocs guards the msgnet session pooling win: a pooled
-// session retains the ABD nodes, replica maps, machines, network heap,
-// RNG streams, and the message-payload pool (requests refcounted across
-// their n broadcast deliveries, responses released on receipt), so a warm
-// run allocates almost nothing — measured ~1 per run averaged over seeds,
-// where the unpooled path paid ~2700. The bound leaves room for pool
-// growth when a seed draws an unusually long schedule, nothing more.
+// session retains the ABD nodes, replica stores, machines, event queue
+// and message slab, RNG streams, and the message-payload pool (requests
+// refcounted across their n broadcast deliveries, responses released on
+// receipt), so a warm run allocates almost nothing — about 2 per run in
+// BenchmarkEngineSession's msgnet/pooled, against about 200 on the fresh
+// path. The bound leaves room for pool growth when a seed draws an
+// unusually long schedule, nothing more.
 func TestMsgnetPooledAllocs(t *testing.T) {
+	if avg := msgnetPooledAllocs(t, nil); avg > 50 {
+		t.Fatalf("pooled msgnet run allocates %.0f times, want <= 50 (pooling regressed?)", avg)
+	}
+}
+
+// TestMsgnetTracedPooledAllocs is the same guard with the flight
+// recorder armed: the ABD nodes read the network's clock through a
+// pointer, so tracing must add no per-node allocation. The bound is the
+// untraced count measured alongside plus one, well below the n = 8 a
+// per-node cost would add.
+func TestMsgnetTracedPooledAllocs(t *testing.T) {
+	plain := msgnetPooledAllocs(t, nil)
+	if avg := msgnetPooledAllocs(t, trace.NewRecorder(0)); avg > plain+1 {
+		t.Fatalf("traced pooled msgnet run allocates %.1f times, untraced %.1f", avg, plain)
+	}
+}
+
+// msgnetPooledAllocs reports the average allocations of a warm pooled
+// msgnet run at n = 8, with rec (when non-nil) armed and reset per run
+// as the arena does.
+func msgnetPooledAllocs(t *testing.T, rec *trace.Recorder) float64 {
+	t.Helper()
 	m, err := engine.ByName("msgnet")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := engine.NewSession()
+	if rec != nil {
+		sess.SetTrace(rec)
+	}
 	inputs := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	spec := engine.Spec{
 		Key:    "alloc-guard",
@@ -32,14 +58,15 @@ func TestMsgnetPooledAllocs(t *testing.T) {
 	run := func() {
 		seed++
 		spec.Seed = seed
+		if rec != nil {
+			rec.Reset()
+		}
 		if _, err := m.Run(spec, sess); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // warm the pools
-	if avg := testing.AllocsPerRun(20, run); avg > 50 {
-		t.Fatalf("pooled msgnet run allocates %.0f times, want <= 50 (pooling regressed?)", avg)
-	}
+	return testing.AllocsPerRun(20, run)
 }
 
 // TestHybridPooledAllocs guards the hybrid model's pooled runner: the
@@ -98,12 +125,6 @@ func BenchmarkEngineSession(b *testing.B) {
 		}
 		b.Run(name+"/pooled", func(b *testing.B) { run(b, engine.NewSession()) })
 		b.Run(name+"/fresh", func(b *testing.B) { run(b, nil) })
-		if name == "msgnet" {
-			// The traced dimension below is enough for the cheap models;
-			// msgnet's point here is the pooled-vs-fresh allocation gap
-			// (TestMsgnetPooledAllocs guards it).
-			continue
-		}
 		// The tracing dimension: a pooled session with the flight recorder
 		// armed (reset per instance, as the arena does). The disabled path
 		// above is the 0-allocs baseline this one is compared against.

@@ -101,6 +101,13 @@ func TestPooledOutcomeDigests(t *testing.T) {
 		{"sched", "zero", 8, 10000, true, "35f6a93ff0f7b639"},
 		{"hybrid", "zero", 8, 10000, true, "4f217433f33c4ce5"},
 		{"hybrid", "antileader", 8, 10000, true, "c13c019324137925"},
+		// msgnet rows, recorded from the binary event heap and map-backed
+		// replica stores that preceded the key-heap event queue. A msgnet
+		// run costs milliseconds, so these cover fewer seeds; the traced
+		// row pins the event-level delivery schedule.
+		{"msgnet", "zero", 4, 1000, false, "152bff7adc380bd4"},
+		{"msgnet", "zero", 8, 200, false, "498f798869865b2a"},
+		{"msgnet", "zero", 8, 100, true, "68be8ad3297f5582"},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%s/%s/n%d", c.model, c.adversary, c.n)

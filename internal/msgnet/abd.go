@@ -2,6 +2,7 @@ package msgnet
 
 import (
 	"fmt"
+	"slices"
 
 	"leanconsensus/internal/machine"
 	"leanconsensus/internal/register"
@@ -46,6 +47,14 @@ func (a tag) less(b tag) bool {
 type stored struct {
 	Val uint32
 	Tag tag
+}
+
+// cell is one register's slot in a replica's dense store. set tells a
+// register this replica has never stored (which adopts any update, even
+// one carrying the zero tag) from one it holds at the zero tag.
+type cell struct {
+	stored
+	set bool
 }
 
 // Message payloads.
@@ -94,8 +103,9 @@ type ABDNode struct {
 	id, n    int
 	majority int
 
-	// Replica state.
-	store map[register.ID]stored
+	// Replica state: one cell per register id, grown on demand. Ids are
+	// layout offsets, dense from zero, so a slice replaces a map.
+	store []cell
 
 	// Client state.
 	m       machine.Machine
@@ -125,10 +135,11 @@ type ABDNode struct {
 	// nodes of one simulation share it.
 	pool *respPool
 
-	// Flight recorder (nil when tracing is off). now reads the network's
-	// simulated clock; prevRound tracks the machine's last traced round.
+	// Flight recorder (nil when tracing is off). clock points at the
+	// network's simulated clock; prevRound tracks the machine's last
+	// traced round.
 	rec       *trace.Recorder
-	now       func() float64
+	clock     *float64
 	prevRound int32
 }
 
@@ -140,15 +151,11 @@ func NewABDNode(id, n int, m machine.Machine) *ABDNode {
 }
 
 // Reset re-arms the node as process id of n running machine m, keeping
-// the replica map, the outgoing-message scratch, and the payload pool.
+// the replica store, the outgoing-message scratch, and the payload pool.
 // A reset node behaves bit-identically to a fresh one.
 func (a *ABDNode) Reset(id, n int, m machine.Machine) {
 	a.id, a.n, a.majority = id, n, n/2+1
-	if a.store == nil {
-		a.store = make(map[register.ID]stored)
-	} else {
-		clear(a.store)
-	}
+	a.store = a.store[:0]
 	a.m = m
 	a.op = machine.Op{}
 	a.started, a.decided, a.failed = false, false, false
@@ -159,7 +166,7 @@ func (a *ABDNode) Reset(id, n int, m machine.Machine) {
 	a.pendingWr = false
 	a.wrVal = 0
 	a.ops, a.messages = 0, 0
-	a.rec, a.now = nil, nil
+	a.rec, a.clock = nil, nil
 	a.prevRound = 0
 }
 
@@ -283,7 +290,34 @@ func (a *ABDNode) Machine() machine.Machine { return a.m }
 // (older than any write). The algorithm's read-only prefix locations are
 // established this way before the network starts.
 func (a *ABDNode) Preload(id register.ID, val uint32) {
-	a.store[id] = stored{Val: val}
+	*a.cell(id) = cell{stored: stored{Val: val}, set: true}
+}
+
+// cell returns register id's slot, growing the store with zeroed (unset)
+// cells as needed. A new store reserves room for minStore cells at once
+// rather than doubling its way up one register id at a time.
+func (a *ABDNode) cell(id register.ID) *cell {
+	if n := len(a.store); int(id) >= n {
+		if int(id) >= cap(a.store) {
+			a.store = slices.Grow(a.store, max(int(id)+1, minStore)-n)
+		}
+		a.store = a.store[:id+1]
+		clear(a.store[n:])
+	}
+	return &a.store[id]
+}
+
+// minStore covers the a_b[r] registers of the first 32 lean rounds, past
+// what almost every run reaches.
+const minStore = 64
+
+// load returns this replica's state for register id: the zero tag and
+// value when it has never stored the register.
+func (a *ABDNode) load(id register.ID) stored {
+	if int(id) < len(a.store) {
+		return a.store[id].stored
+	}
+	return stored{}
 }
 
 // Done implements Node.
@@ -294,7 +328,7 @@ func (a *ABDNode) Start() []Message {
 	a.op = a.m.Begin()
 	a.started = true
 	if a.rec != nil {
-		a.rec.Append(trace.Event{Time: a.now(), Proc: int32(a.id), Kind: trace.KindStart})
+		a.rec.Append(trace.Event{Time: *a.clock, Proc: int32(a.id), Kind: trace.KindStart})
 	}
 	return a.beginOp()
 }
@@ -345,13 +379,13 @@ func (a *ABDNode) Receive(msg Message) []Message {
 	switch p := msg.Payload.(type) {
 	case *queryReq:
 		resp := a.newQueryResp()
-		resp.Op, resp.Reg, resp.Cur = p.Op, p.Reg, a.store[p.Reg]
+		resp.Op, resp.Reg, resp.Cur = p.Op, p.Reg, a.load(p.Reg)
 		a.releaseQueryReq(p)
 		return a.reply(msg.From, resp)
 
 	case *updateReq:
-		if cur, ok := a.store[p.Reg]; !ok || cur.Tag.less(p.New.Tag) {
-			a.store[p.Reg] = p.New
+		if c := a.cell(p.Reg); !c.set || c.Tag.less(p.New.Tag) {
+			*c = cell{stored: p.New, set: true}
 		}
 		resp := a.newUpdateResp()
 		resp.Op = p.Op
@@ -426,7 +460,7 @@ func (a *ABDNode) Receive(msg Message) []Message {
 // traceStep records one completed emulated register operation and any
 // round transition, decision, or abort it produced.
 func (a *ABDNode) traceStep(result uint32, st machine.Status) {
-	t := a.now()
+	t := *a.clock
 	round := a.prevRound
 	if r, ok := a.m.(machine.Rounder); ok {
 		round = int32(r.Round())

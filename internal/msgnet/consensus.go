@@ -72,12 +72,12 @@ func Consensus(cfg ConsensusConfig) (*ConsensusResult, error) {
 
 // Sim is a reusable message-passing consensus runner: the pooled
 // analogue of engine.Session for this model. One Sim retains the nodes,
-// their replica maps, the lean machines, the network (event heap + RNG
-// streams), the reply-payload pool, and the result buffer across runs,
-// so steady-state reruns allocate only per-broadcast payload boxes and
-// whatever the map implementation churns. Every pooled structure resets
-// to exactly its freshly-constructed state, so a Sim's results are
-// bit-identical to Consensus. A Sim is not safe for concurrent use.
+// their replica stores, the lean machines, the network (event queue,
+// message slab and RNG streams), the payload pool, the crash table and
+// the result buffer across runs, so a steady-state rerun allocates only
+// when a run outgrows what earlier runs pooled. Every pooled structure
+// resets to exactly its freshly-constructed state, so a Sim's results
+// are bit-identical to Consensus. A Sim is not safe for concurrent use.
 type Sim struct {
 	nodes []Node
 	abds  []*ABDNode
@@ -85,7 +85,7 @@ type Sim struct {
 	pool  respPool
 	net   Network
 	res   ConsensusResult
-	crash map[int]float64
+	crash []float64 // per process: 0 = crashed from the start, -1 = live
 }
 
 // NewSim returns an empty simulator; buffers materialize on first use.
@@ -116,10 +116,9 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 		layout = register.Layout{N: n, BackupRounds: backupRounds}
 	}
 
-	if s.crash == nil {
-		s.crash = make(map[int]float64, len(cfg.Crash))
-	} else {
-		clear(s.crash)
+	s.crash = s.crash[:0]
+	for range n {
+		s.crash = append(s.crash, -1)
 	}
 	for _, c := range cfg.Crash {
 		if c < 0 || c >= n {
@@ -174,18 +173,17 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	net := &s.net
 	if cfg.Trace != nil {
 		// The nodes and the network live in one package, so the recorder
-		// borrows the event loop's clock directly; appends happen in the
+		// reads the event loop's clock directly; appends happen in the
 		// network's deterministic delivery order.
 		for i := 0; i < n; i++ {
 			a := s.abds[i]
 			a.rec = cfg.Trace
-			a.now = func() float64 { return net.now }
+			a.clock = &s.net.now
 		}
 	}
-	netRes, err := net.Run()
+	netRes, err := s.net.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +202,7 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 		out.Decisions[i] = -1
 		out.RegisterOps += a.Ops()
 		out.Messages += a.Messages()
-		if _, crashed := s.crash[i]; crashed {
+		if s.crash[i] >= 0 {
 			continue
 		}
 		if a.Failed() {

@@ -51,10 +51,11 @@ type Config struct {
 	// LinkDelay, when non-nil, adds a deterministic per-link delay
 	// (adversary analogue of the Δ terms).
 	LinkDelay func(from, to int) float64
-	// CrashAt, when non-nil, maps a process id to the simulated time at
-	// which it crashes (negative or absent = never). Crashed processes
-	// neither send nor receive after that time.
-	CrashAt map[int]float64
+	// CrashAt, when non-nil, holds the simulated time at which each
+	// process crashes, indexed by process id (negative, or beyond the
+	// slice = never). Crashed processes neither send nor receive after
+	// that time.
+	CrashAt []float64
 	// Seed fixes all randomness.
 	Seed uint64
 	// MaxMessages aborts runaway simulations (0 = generous default).
@@ -75,71 +76,122 @@ type Result struct {
 	AllDone bool
 }
 
-// event is one pending delivery (or node start when Payload == nil and
-// From < 0).
-type event struct {
-	t   float64
-	seq int64
-	msg Message
+// qkey is one pending delivery in the event queue: its delivery time,
+// the sequence number that breaks ties between equal times, and the slab
+// slot holding its message.
+type qkey struct {
+	t    float64
+	seq  int64
+	slot int32
 }
 
-type netHeap []event
+// less orders deliveries by (t, seq). Sequence numbers are unique, so this
+// is a total order and every correct priority queue pops the same
+// sequence; two-point delays make exact time ties common, and seq alone
+// decides them.
+func (a qkey) less(b qkey) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
 
-func (h netHeap) less(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// eventQueue holds the deliveries in flight: a 4-ary min-heap of small
+// keys over a slab of messages recycled through a free list. Sifts move
+// 24-byte keys into a hole instead of swapping whole messages, and a
+// message is written once on push and read once on pop. seq counts pushes
+// since reset; it stays 64-bit, so it cannot wrap before memory runs out.
+type eventQueue struct {
+	keys []qkey
+	slab []Message
+	free []int32
+	seq  int64
+}
+
+// reset empties the queue, keeping its buffers, and makes room for
+// capacity pending deliveries at once, so a fresh queue does not grow its
+// three slices by doubling.
+func (q *eventQueue) reset(capacity int) {
+	if cap(q.keys) < capacity {
+		q.keys = make([]qkey, 0, capacity)
+		q.slab = make([]Message, 0, capacity)
+		q.free = make([]int32, 0, capacity)
 	}
-	return a.seq < b.seq
+	q.keys = q.keys[:0]
+	q.slab = q.slab[:0]
+	q.free = q.free[:0]
+	q.seq = 0
 }
 
-func (h *netHeap) push(ev event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
+// push schedules m for delivery at time t, after every pending delivery
+// with the same time.
+func (q *eventQueue) push(t float64, m Message) {
+	var slot int32
+	if k := len(q.free); k > 0 {
+		slot = q.free[k-1]
+		q.free = q.free[:k-1]
+		q.slab[slot] = m
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, m)
+	}
+	q.seq++
+	key := qkey{t: t, seq: q.seq, slot: slot}
+	keys := append(q.keys, key)
+	i := len(keys) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less((*h)[i], (*h)[parent]) {
+		parent := (i - 1) / 4
+		if !key.less(keys[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		keys[i] = keys[parent]
 		i = parent
 	}
+	keys[i] = key
+	q.keys = keys
 }
 
-func (h *netHeap) pop() event {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i, n := 0, last
+// pop removes the earliest pending delivery and returns its time and
+// message. The queue must not be empty.
+func (q *eventQueue) pop() (float64, Message) {
+	keys := q.keys
+	top := keys[0]
+	n := len(keys) - 1
+	last := keys[n]
+	keys = keys[:n]
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less((*h)[l], (*h)[small]) {
-			small = l
-		}
-		if r < n && h.less((*h)[r], (*h)[small]) {
-			small = r
-		}
-		if small == i {
+		first := 4*i + 1
+		if first >= n {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
+		small := first
+		end := min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if keys[c].less(keys[small]) {
+				small = c
+			}
+		}
+		if !keys[small].less(last) {
+			break
+		}
+		keys[i] = keys[small]
 		i = small
 	}
-	return top
+	if n > 0 {
+		keys[i] = last
+	}
+	q.keys = keys
+	q.free = append(q.free, top.slot)
+	return top.t, q.slab[top.slot]
 }
 
 // Network runs a message-passing simulation. A Network is reusable:
-// Reset re-arms it for a new configuration while keeping the event heap
-// and per-process RNG streams pooled, so steady-state reruns (the
+// Reset re-arms it for a new configuration while keeping the event queue
+// and the per-process RNG streams pooled, so steady-state reruns (the
 // engine's session path) allocate nothing here.
 type Network struct {
 	cfg   Config
-	heap  netHeap
+	queue eventQueue
 	srcs  []*xrand.Source
 	rngs  []*rand.Rand
-	seq   int64
 	now   float64
 	stats Result
 }
@@ -167,8 +219,9 @@ func (n *Network) Reset(cfg Config) error {
 		return fmt.Errorf("%w: Delay distribution required", ErrBadConfig)
 	}
 	n.cfg = cfg
-	n.heap = n.heap[:0]
-	n.seq = 0
+	// About n² deliveries are in flight at once when every node's
+	// broadcast is answered by every replica.
+	n.queue.reset(len(cfg.Nodes) * (len(cfg.Nodes) + 1))
 	n.now = 0
 	n.stats = Result{}
 	for i := 0; i < len(cfg.Nodes); i++ {
@@ -185,11 +238,7 @@ func (n *Network) Reset(cfg Config) error {
 
 // crashed reports whether process i has crashed by time t.
 func (n *Network) crashed(i int, t float64) bool {
-	if n.cfg.CrashAt == nil {
-		return false
-	}
-	ct, ok := n.cfg.CrashAt[i]
-	return ok && ct >= 0 && t >= ct
+	return i < len(n.cfg.CrashAt) && n.cfg.CrashAt[i] >= 0 && t >= n.cfg.CrashAt[i]
 }
 
 // send enqueues outgoing messages from process `from` at time t.
@@ -206,8 +255,7 @@ func (n *Network) send(from int, t float64, msgs []Message) {
 		if d < 0 {
 			panic("msgnet: negative delivery delay")
 		}
-		n.seq++
-		n.heap.push(event{t: t + d, seq: n.seq, msg: m})
+		n.queue.push(t+d, m)
 	}
 }
 
@@ -231,15 +279,15 @@ func (n *Network) Run() (*Result, error) {
 		n.send(i, t, node.Start())
 	}
 
-	for len(n.heap) > 0 {
-		ev := n.heap.pop()
-		n.now = ev.t
-		n.stats.Time = ev.t
+	for len(n.queue.keys) > 0 {
+		t, msg := n.queue.pop()
+		n.now = t
+		n.stats.Time = t
 		// Messages already in flight when the sender crashes are still
 		// delivered (the network is not the failed component); only a
 		// crashed receiver loses messages.
-		to := ev.msg.To
-		if n.crashed(to, ev.t) {
+		to := msg.To
+		if n.crashed(to, t) {
 			n.stats.Dropped++
 			continue
 		}
@@ -247,8 +295,8 @@ func (n *Network) Run() (*Result, error) {
 		if n.stats.Delivered > maxMessages {
 			return nil, fmt.Errorf("msgnet: more than %d messages; runaway protocol?", maxMessages)
 		}
-		out := n.cfg.Nodes[to].Receive(ev.msg)
-		n.send(to, ev.t, out)
+		out := n.cfg.Nodes[to].Receive(msg)
+		n.send(to, t, out)
 	}
 
 	n.stats.AllDone = true
